@@ -1,28 +1,20 @@
 # Build/verify entry points for the splash4 reproduction.
 #
 #   make check        tier-1 gate: build, go vet, splash4-vet concurrency
-#                     invariants, full test suite, trace smoke test
+#                     invariants, conformance, full test suite (which holds
+#                     every daemon and cluster end-to-end check), allocs
+#                     gate, trace smoke test
 #   make race         tier-2 gate: the whole suite under the Go race detector
 #   make vet          just the concurrency-invariant analyzers (splash4-vet)
 #   make allocs-gate  re-measure every //sync4:zeroalloc annotation with
 #                     testing.AllocsPerRun (uncached)
 #   make bench        the testing.B experiment targets
 #   make trace-smoke  capture fft traces under both kits and validate them
-#   make serve-smoke  drive the splash4d daemon end to end over HTTP
 #   make chaos        fault-injection gate: workloads under the faulty kit
 #                     with the watchdog armed, plus the wedged fixture
 #   make traffic-gate SLO gate: live loadgen smoke against a loopback
 #                     splash4d (retry contract end to end), then the
-#                     pinned-seed deterministic sim that writes the
-#                     byte-stable BENCH_traffic.json artifact
-#   make cluster-smoke boot a 3-node loopback cluster and drive routing,
-#                     journal shipping, work stealing, node kill with
-#                     reclaim, and cluster-wide /compare census identity
-#   make cluster-chaos partition-tolerance gate: the 3-node cluster through
-#                     a pinned-seed fault schedule (asymmetric partition
-#                     during stealing, latency storm during shipping,
-#                     origin crash-restart mid-tail) ending with zero lost
-#                     jobs and byte-identical 3-way /compare after heal
+#                     pinned-seed deterministic sim
 #   make conformance  verify docs/CONFORMANCE.md matches the tree's
 #                     //sync4:req tags byte for byte and every MUST-level
 #                     requirement has a covering conformance test
@@ -33,7 +25,7 @@ TRACE_TMP := $(shell mktemp -d 2>/dev/null || echo /tmp)
 CHAOS_SEED ?= 42
 TRAFFIC_SEED ?= 42
 
-.PHONY: check vet allocs-gate race test build bench trace-smoke serve-smoke chaos traffic-gate cluster-smoke cluster-chaos conformance conformance-gen
+.PHONY: check vet allocs-gate race test build bench trace-smoke chaos traffic-gate conformance conformance-gen
 
 check: build
 	$(GO) vet ./...
@@ -42,7 +34,6 @@ check: build
 	$(GO) test ./...
 	$(MAKE) allocs-gate
 	$(MAKE) trace-smoke
-	$(MAKE) serve-smoke
 
 build:
 	$(GO) build ./...
@@ -75,14 +66,6 @@ trace-smoke:
 	$(GO) run ./cmd/splash4-trace -workload fft -kit lockfree -threads 4 -scale test -out $(TRACE_TMP)/fft-lockfree.trace.json >/dev/null
 	@echo "trace-smoke: ok"
 
-# serve-smoke boots an ephemeral splash4d on a loopback port and drives the
-# full API — submit under both kits, poll, /compare, /metrics, graceful
-# drain — exiting non-zero on any failure. The run's measured speedup lands
-# in BENCH_serve.json to seed the service perf trajectory.
-serve-smoke:
-	$(GO) run ./cmd/splash4d -smoke -store $(TRACE_TMP)/serve-smoke.jsonl -out BENCH_serve.json
-	@echo "serve-smoke: ok"
-
 # chaos runs fft and radix under both kits with deterministic fault
 # injection (pinned seed — failures reproduce by rerunning with the same
 # CHAOS_SEED) and the watchdog armed, requiring verified, census-identical
@@ -100,39 +83,13 @@ chaos:
 # provoke real 429s with in-range Retry-After, dedup-hostile clumps get
 # singleflight 200s, and an injected journal fault produces degraded 503s
 # with a clean recovery. The sim leg re-runs the shapes through the
-# deterministic pipeline model and writes BENCH_traffic.json — byte-stable
-# under the pinned TRAFFIC_SEED, so CI can diff it across runs. Either leg
-# failing its SLOs or contract checks fails the target.
+# deterministic pipeline model; its report is byte-stable under the pinned
+# TRAFFIC_SEED (TestReportByteStable enforces that). Either leg failing its
+# SLOs or contract checks fails the target.
 traffic-gate:
-	$(GO) run ./cmd/splash4-loadgen -mode live -seed $(TRAFFIC_SEED) -out BENCH_traffic_live.json
-	$(GO) run ./cmd/splash4-loadgen -mode sim -seed $(TRAFFIC_SEED) -out BENCH_traffic.json
+	$(GO) run ./cmd/splash4-loadgen -mode live -seed $(TRAFFIC_SEED) -out $(TRACE_TMP)/traffic-live.json
+	$(GO) run ./cmd/splash4-loadgen -mode sim -seed $(TRAFFIC_SEED) -out $(TRACE_TMP)/traffic-sim.json
 	@echo "traffic-gate: ok"
-
-# cluster-smoke boots a 3-node splash4d cluster on loopback sockets and
-# drives every clustered behavior in order: consistent-hash routing (same
-# spec → same owner from any entry node), journal shipping to lag zero with
-# byte-identical /compare on all three nodes, work stealing off a pinned
-# backlog, a mid-theft node kill with health-probe reclaim and zero lost
-# accepted jobs, re-routing around the dead node, and stolen-job access-log
-# lines naming both nodes. The summary lands in BENCH_cluster.json.
-cluster-smoke:
-	$(GO) run ./cmd/splash4d -cluster-smoke -out BENCH_cluster.json
-	@echo "cluster-smoke: ok"
-
-# cluster-chaos is the partition-tolerance gate: a 3-node in-process cluster
-# behind seeded fault-injecting transports driven through the full failure
-# schedule — baseline census identity, an asymmetric partition during
-# stealing (completions die in transit, breaker opens, deadline reclaim
-# takes the loans home, heal closes the breaker through a half-open trial),
-# a latency storm that forces hedged journal fetches, and an origin
-# crash-restart whose truncated journal and new generation force the
-# anti-entropy resync. Zero lost jobs, breaker transitions on /metrics, and
-# a byte-identical 3-way /compare are required. The report lands in
-# BENCH_cluster_chaos.json and the per-node fault decision log in
-# cluster-chaos-decisions.jsonl; failures reproduce with the same CHAOS_SEED.
-cluster-chaos:
-	$(GO) run ./cmd/splash4-chaos -cluster -chaos-seed $(CHAOS_SEED) -out BENCH_cluster_chaos.json -decisions cluster-chaos-decisions.jsonl
-	@echo "cluster-chaos: ok"
 
 # conformance is the spec drift gate: regenerate the conformance document
 # in memory from the tree's //sync4:req tags and fail on any byte of

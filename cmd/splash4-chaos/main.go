@@ -13,15 +13,9 @@
 //     fire with a structured diagnosis (written to -diag for CI artifacts);
 //     a silent hang or a clean exit is the failure.
 //
-// A third mode gates the cluster layer: with -cluster the binary runs the
-// 3-node partition-tolerance schedule (cluster.RunChaos) — asymmetric
-// partition during stealing, latency storm during shipping, origin
-// crash-restart mid-tail — and requires zero lost jobs, observable breaker
-// transitions, and a byte-identical three-way /compare after the heal.
-//
-// `make chaos` runs the first two modes and `make cluster-chaos` the third,
-// all with a pinned seed. A failure reproduces by rerunning with the same
-// -chaos-seed; see docs/ROBUSTNESS.md.
+// `make chaos` runs both modes with a pinned seed. A failure reproduces by
+// rerunning with the same -chaos-seed; see docs/ROBUSTNESS.md. (The cluster
+// layer's fault schedule is a Go test: internal/cluster/chaos_test.go.)
 package main
 
 import (
@@ -52,18 +46,8 @@ func main() {
 		repTimeout = flag.Duration("rep-timeout", 2*time.Minute, "watchdog deadline per repetition")
 		wedge      = flag.Bool("wedge", false, "run the deliberately wedged fixture and require a watchdog diagnosis")
 		diag       = flag.String("diag", "", "write the stall diagnosis here (with -wedge)")
-		clusterRun = flag.Bool("cluster", false, "run the 3-node partition-tolerance gate instead of workload fault injection")
-		out        = flag.String("out", "", "write the cluster gate report JSON here (with -cluster)")
-		decisions  = flag.String("decisions", "", "write the netfaulty decision log here (with -cluster)")
 	)
 	flag.Parse()
-
-	if *clusterRun {
-		if err := runCluster(*seed, *out, *decisions); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *wedge {
 		if err := runWedge(*threads, *repTimeout, *diag); err != nil {

@@ -11,12 +11,6 @@
 // drains: it stops admitting (503), finishes in-flight jobs up to
 // -drain-timeout, flushes the store, and exits.
 //
-// With -smoke the binary instead starts an ephemeral instance on a loopback
-// port, drives a small fft measurement under both kits through the real
-// HTTP API (submit, poll, compare, metrics), drains it, and writes the
-// result summary to -out. `make serve-smoke` runs this as the service's
-// end-to-end gate.
-//
 // With -node-id and -peers the daemon joins a cluster (internal/cluster):
 // job specs route to their consistent-hash owner, idle nodes steal queued
 // work from busy peers, and every node replicates the others' result
@@ -24,19 +18,14 @@
 //
 //	splash4d -addr :8724 -node-id a -peers b=http://h2:8724,c=http://h3:8724
 //
-// With -cluster-smoke the binary runs a self-contained 3-node loopback
-// cluster through routing, stealing, a node kill with reclaim, and
-// cluster-wide /compare identity, writing a summary to -out
-// (BENCH_cluster.json). `make cluster-smoke` runs this as the cluster's
-// end-to-end gate.
+// The daemon has no self-test mode: its end-to-end checks are Go tests in
+// internal/server and internal/cluster (table in docs/ROBUSTNESS.md).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -62,13 +51,10 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-job execution budget; a job exceeding it fails instead of wedging its worker")
 		repTimeout   = flag.Duration("rep-timeout", 0, "per-repetition watchdog deadline (0 means the job timeout)")
-		smoke        = flag.Bool("smoke", false, "run the self-contained smoke sequence and exit")
-		out          = flag.String("out", "", "smoke result path (default BENCH_serve.json, or BENCH_cluster.json with -cluster-smoke)")
 		accessLog    = flag.String("access-log", "", "structured JSONL access log path (request + job lifecycle lines); empty disables")
 		debugAddr    = flag.String("debug-addr", "", "separate listener for net/http/pprof; empty disables")
 		nodeID       = flag.String("node-id", "", "this node's cluster name; empty runs single-node")
 		peers        = flag.String("peers", "", "comma-separated peer list, id=http://host:port pairs (requires -node-id)")
-		clusterSmoke = flag.Bool("cluster-smoke", false, "run the 3-node in-process cluster smoke and exit")
 	)
 	flag.Parse()
 
@@ -78,24 +64,6 @@ func main() {
 		JobTimeout:    *jobTimeout,
 		RepTimeout:    *repTimeout,
 		NodeID:        *nodeID,
-	}
-	if *clusterSmoke {
-		if *out == "" {
-			*out = "BENCH_cluster.json"
-		}
-		if err := runClusterSmoke(*out, cfg, *drainTimeout); err != nil {
-			log.Fatalf("splash4d cluster smoke: %v", err)
-		}
-		return
-	}
-	if *out == "" {
-		*out = "BENCH_serve.json"
-	}
-	if *smoke {
-		if err := runSmoke(*storePath, *out, *accessLog, cfg, *drainTimeout); err != nil {
-			log.Fatalf("splash4d smoke: %v", err)
-		}
-		return
 	}
 	peerMap, err := parsePeers(*peers)
 	if err != nil {
@@ -251,274 +219,5 @@ func serve(addr, storePath, accessLogPath, debugAddr string, cfg server.Config, 
 		return fmt.Errorf("drain: %w", drainErr)
 	}
 	log.Printf("drained cleanly; %d results journaled", store.Len())
-	return nil
-}
-
-// runSmoke exercises the service end to end over a real loopback socket:
-// both kits of fft at test scale, status polling, /compare, /metrics, and a
-// graceful drain. It writes a JSON summary suitable for tracking the
-// service's measured speedup over time.
-func runSmoke(storePath, outPath, accessLogPath string, cfg server.Config, drainTimeout time.Duration) error {
-	// The smoke always exercises the access log; default it next to the
-	// summary artifact when the flag is unset.
-	if accessLogPath == "" {
-		accessLogPath = outPath + ".access.jsonl"
-	}
-	srv, store, al, err := newServer(storePath, accessLogPath, cfg)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	defer al.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	// The profiling surface comes up on its own loopback listener.
-	dbg, dbgBase, err := startDebug("127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	defer dbg.Close()
-
-	const (
-		workload = "fft"
-		threads  = 2
-		scale    = "test"
-		reps     = 3
-	)
-	runs := make(map[string]map[string]any)
-	for _, kit := range []string{"classic", "lockfree"} {
-		spec := fmt.Sprintf(`{"workload":%q,"kit":%q,"threads":%d,"scale":%q,"reps":%d,"seed":1}`,
-			workload, kit, threads, scale, reps)
-		id, err := submitRun(base, spec)
-		if err != nil {
-			srv.Close()
-			return fmt.Errorf("%s: %w", kit, err)
-		}
-		view, err := pollDone(base, id, 2*time.Minute)
-		if err != nil {
-			srv.Close()
-			return fmt.Errorf("%s run %s: %w", kit, id, err)
-		}
-		result, ok := view["result"].(map[string]any)
-		if !ok {
-			srv.Close()
-			return fmt.Errorf("%s run %s finished without a result payload", kit, id)
-		}
-		runs[kit] = result
-		log.Printf("smoke: %s/%s done (mean %.3fms)", workload, kit, result["mean_ns"].(float64)/1e6)
-	}
-
-	compare, err := getJSON(base + fmt.Sprintf("/compare?workload=%s&threads=%d&scale=%s&seed=1",
-		workload, threads, scale))
-	if err != nil {
-		srv.Close()
-		return fmt.Errorf("compare: %w", err)
-	}
-	if err := checkMetrics(base); err != nil {
-		srv.Close()
-		return err
-	}
-	// Liveness and readiness must both be green on a healthy instance.
-	for _, probe := range []string{"/healthz", "/readyz"} {
-		if _, err := getJSON(base + probe); err != nil {
-			srv.Close()
-			return fmt.Errorf("probe %s: %w", probe, err)
-		}
-	}
-	// The pprof surface must answer on the debug listener.
-	if err := checkPprof(dbgBase); err != nil {
-		srv.Close()
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := hs.Shutdown(context.Background()); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	// With the daemon drained, the access log must hold every HTTP
-	// exchange and one complete job line per finished run.
-	if err := al.Flush(); err != nil {
-		return fmt.Errorf("access log flush: %w", err)
-	}
-	if err := checkAccessLog(accessLogPath, 2); err != nil {
-		return err
-	}
-
-	summary := map[string]any{
-		"bench":     "serve-smoke",
-		"workload":  workload,
-		"threads":   threads,
-		"scale":     scale,
-		"reps":      reps,
-		"runs":      runs,
-		"compare":   compare,
-		"generated": time.Now().UTC().Format(time.RFC3339),
-	}
-	data, err := json.MarshalIndent(summary, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("smoke: speedup %.3f, wrote %s", compare["speedup"].(float64), outPath)
-	return nil
-}
-
-// submitRun POSTs one spec and returns the accepted job's ID.
-func submitRun(base, spec string) (string, error) {
-	resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return "", err
-	}
-	body, err := decodeBody(resp)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("POST /runs = %d: %v", resp.StatusCode, body["error"])
-	}
-	id, _ := body["id"].(string)
-	if id == "" {
-		return "", fmt.Errorf("POST /runs returned no job id")
-	}
-	return id, nil
-}
-
-// pollDone polls GET /runs/{id} until the job reaches a terminal state.
-func pollDone(base, id string, timeout time.Duration) (map[string]any, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		view, err := getJSON(base + "/runs/" + id)
-		if err != nil {
-			return nil, err
-		}
-		switch view["status"] {
-		case "done":
-			return view, nil
-		case "error":
-			return nil, fmt.Errorf("job failed: %v", view["error"])
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("timed out after %v in state %v", timeout, view["status"])
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func getJSON(url string) (map[string]any, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s = %d: %v", url, resp.StatusCode, body["error"])
-	}
-	return body, nil
-}
-
-func decodeBody(resp *http.Response) (map[string]any, error) {
-	defer resp.Body.Close()
-	var v map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return nil, fmt.Errorf("decoding response: %w", err)
-	}
-	return v, nil
-}
-
-// checkPprof asserts the debug listener is serving the profiling index.
-func checkPprof(dbgBase string) error {
-	resp, err := http.Get(dbgBase + "/debug/pprof/cmdline")
-	if err != nil {
-		return fmt.Errorf("pprof: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /debug/pprof/cmdline = %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// checkAccessLog asserts the JSONL access log holds wantJobs terminal job
-// lines, each carrying a request ID and a span chain that reaches the
-// publish phase, plus at least one HTTP line.
-func checkAccessLog(path string, wantJobs int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("access log: %w", err)
-	}
-	var jobs, https int
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if line == "" {
-			continue
-		}
-		var entry struct {
-			Kind      string           `json:"kind"`
-			RequestID string           `json:"request_id"`
-			Spans     []telemetry.Span `json:"spans"`
-		}
-		if err := json.Unmarshal([]byte(line), &entry); err != nil {
-			return fmt.Errorf("access log line %q: %w", line, err)
-		}
-		switch entry.Kind {
-		case "http":
-			https++
-		case "job":
-			jobs++
-			if entry.RequestID == "" {
-				return fmt.Errorf("access log job line without request_id: %s", line)
-			}
-			if err := telemetry.ChainPhases(entry.Spans); err != nil {
-				return fmt.Errorf("access log job %s span chain: %w", entry.RequestID, err)
-			}
-		}
-	}
-	if jobs < wantJobs || https == 0 {
-		return fmt.Errorf("access log has %d job / %d http lines, want >=%d / >=1", jobs, https, wantJobs)
-	}
-	log.Printf("smoke: access log %s holds %d http + %d job lines with complete span chains", path, https, jobs)
-	return nil
-}
-
-// checkMetrics asserts the Prometheus endpoint is alive and exporting the
-// pipeline series the smoke run must have populated.
-func checkMetrics(base string) error {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics = %d", resp.StatusCode)
-	}
-	text, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	for _, want := range []string{
-		"splash4d_jobs_completed_total",
-		"splash4d_run_duration_seconds_bucket",
-	} {
-		if !strings.Contains(string(text), want) {
-			return fmt.Errorf("/metrics missing %s", want)
-		}
-	}
 	return nil
 }

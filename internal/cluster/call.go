@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/peernet"
+	"repro/internal/splitmix"
 )
 
 // The composed peer-call path. Every peer exchange goes through call(),
@@ -136,11 +137,7 @@ func (c *Cluster) backoff(attempt int) time.Duration {
 	if max := 32 * base; step > max {
 		step = max
 	}
-	h := c.jitterSeq.Add(1)
-	h += 0x9E3779B97F4A7C15
-	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-	h ^= h >> 31
+	h := splitmix.Mix(c.jitterSeq.Add(1))
 	frac := 0.5 + 0.5*float64(h>>11)/(1<<53)
 	return time.Duration(float64(step) * frac)
 }

@@ -346,8 +346,8 @@ func (c *Cluster) Stop() {
 // Self returns this node's ID.
 func (c *Cluster) Self() string { return c.cfg.Self }
 
-// Kill simulates abrupt process death for fault-injection tests and the
-// cluster smoke: background loops stop without handoff and any stolen job
+// Kill simulates abrupt process death for fault-injection tests:
+// background loops stop without handoff and any stolen job
 // still executing drops its completion instead of shipping it — exactly
 // what a crashed thief looks like to its victims, whose health probes and
 // reclaim then take over. The caller closes the node's listener itself.

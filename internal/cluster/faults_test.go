@@ -6,42 +6,36 @@ import (
 
 	"repro/internal/cluster/netfaulty"
 	"repro/internal/cluster/peernet"
-	"repro/internal/core"
 	"repro/internal/server"
 )
 
-// faultSeed pins the netfaulty schedule these tests run under, matching
-// the chaos gate's default so a failure reproduces identically there.
+// faultSeed pins the netfaulty schedule these tests and the chaos schedule
+// (TestRunChaosFullSchedule) run under.
 const faultSeed = 42
 
 // wedgeVictim configures node "a" as the canonical stealing victim: one
-// worker wedged behind aGate so the second submission queues and is the
+// worker wedged behind a's gate so the second submission queues and is the
 // only stealable job, with a's own stealer off. Node "b" (the thief) runs
-// its stolen work behind bGate so tests control exactly when the
+// its stolen work behind b's gate so tests control exactly when the
 // completion POST happens, under a netfaulty transport with the pinned
 // seed and zero probabilities — every fault in these tests is a directed
 // rule, so the schedule is exact, not statistical.
-func wedgeVictim(t *testing.T, aGate, bGate chan struct{}) (nodes map[string]*testNode, bFaults *netfaulty.Transport) {
+func wedgeVictim(t *testing.T) (nodes map[string]*testNode, bFaults *netfaulty.Transport) {
 	t.Helper()
 	nodes = startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
 		switch id {
 		case "a":
 			scfg.Workers = 1
-			scfg.Resolver = func(name string) (core.Benchmark, error) {
-				return &testBench{name: name, gate: aGate}, nil
-			}
 			ccfg.StealInterval = time.Hour // a never steals; b is the only thief
 		case "b":
-			scfg.Resolver = func(name string) (core.Benchmark, error) {
-				return &testBench{name: name, gate: bGate}, nil
-			}
-			ccfg.Transport = nil // installed below, after the test holds the pointer
 			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout),
 				netfaulty.Plan{Seed: faultSeed, Record: 64})
 			ccfg.Transport = bFaults
 			ccfg.RetryBaseDelay = time.Millisecond // keep budgeted retries fast
 		}
 	})
+	nodes["a"].gate.arm()
+	nodes["b"].gate.arm()
 	return nodes, bFaults
 }
 
@@ -54,13 +48,7 @@ func stealOneJob(t *testing.T, nodes map[string]*testNode) []string {
 		submitTo(t, a.base, specBody("fft", "lockfree", 1), true),
 		submitTo(t, a.base, specBody("fft", "lockfree", 2), true),
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for a.srv.StolenCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("b never stole a's queued job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "b never stole a's queued job", func() bool { return a.srv.StolenCount() > 0 })
 	return ids
 }
 
@@ -96,8 +84,7 @@ func finishAll(t *testing.T, nodes map[string]*testNode, ids []string) {
 //
 //sync4:covers SYNC4-CLUS-002
 func TestLateCompletionAfterReclaimIsDiscarded(t *testing.T) {
-	aGate, bGate := make(chan struct{}), make(chan struct{})
-	nodes, _ := wedgeVictim(t, aGate, bGate)
+	nodes, _ := wedgeVictim(t)
 	a, b := nodes["a"], nodes["b"]
 	ids := stealOneJob(t, nodes)
 
@@ -108,7 +95,7 @@ func TestLateCompletionAfterReclaimIsDiscarded(t *testing.T) {
 	}
 	// Now the thief finishes and completes into a 410: its measurement is
 	// discarded without touching a's journal.
-	close(bGate)
+	b.gate.release()
 	deadline := time.Now().Add(10 * time.Second)
 	for b.cl.stolenTotal.Load() == 0 && a.srv.StolenCount() == 0 && b.srv.Inflight() > 0 {
 		if time.Now().After(deadline) {
@@ -116,7 +103,7 @@ func TestLateCompletionAfterReclaimIsDiscarded(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(aGate)
+	a.gate.release()
 	finishAll(t, nodes, ids)
 	if got := b.cl.stolenTotal.Load(); got != 0 {
 		t.Fatalf("thief counted %d completed steals after a 410 discard, want 0", got)
@@ -133,26 +120,19 @@ func TestLateCompletionAfterReclaimIsDiscarded(t *testing.T) {
 //
 //sync4:covers SYNC4-CLUS-005
 func TestFailedCompletionReprobesBeforeResend(t *testing.T) {
-	aGate, bGate := make(chan struct{}), make(chan struct{})
-	nodes, bFaults := wedgeVictim(t, aGate, bGate)
+	nodes, bFaults := wedgeVictim(t)
 	a, b := nodes["a"], nodes["b"]
 	ids := stealOneJob(t, nodes)
 
 	// Drop only b→a completions: the re-probe read and everything else
 	// still flow, which is exactly the lost-response shape.
 	bFaults.Partition("a", peernet.EndpointComplete)
-	close(bGate)
+	b.gate.release()
 
 	// The resend is observable as one retry on the complete endpoint; it
 	// only happens after the re-probe answered "still awaiting".
 	epComplete := endpointIndex(peernet.EndpointComplete)
-	deadline := time.Now().Add(10 * time.Second)
-	for b.cl.retries[epComplete].v.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("thief never resent the completion (stealErrors=%d)", b.cl.stealErrors.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, "thief never resent the completion", func() bool { return b.cl.retries[epComplete].v.Load() > 0 })
 	if got := b.cl.retries[epComplete].v.Load(); got != 1 {
 		t.Fatalf("thief resent the completion %d times, want exactly 1", got)
 	}
@@ -169,7 +149,7 @@ func TestFailedCompletionReprobesBeforeResend(t *testing.T) {
 		t.Fatalf("reclaimed %d jobs, want 1", n)
 	}
 	bFaults.Heal("a")
-	close(aGate)
+	a.gate.release()
 	finishAll(t, nodes, ids)
 
 	// The partition injections are on the decision log, seeded and replayable.
@@ -184,24 +164,17 @@ func TestFailedCompletionReprobesBeforeResend(t *testing.T) {
 // must then find nothing to take — the stolen map arbitration is
 // first-writer-wins in both directions.
 func TestReclaimRacesCompletionLosesOnce(t *testing.T) {
-	aGate, bGate := make(chan struct{}), make(chan struct{})
-	nodes, _ := wedgeVictim(t, aGate, bGate)
+	nodes, _ := wedgeVictim(t)
 	a, b := nodes["a"], nodes["b"]
 	ids := stealOneJob(t, nodes)
 
-	close(bGate)
-	deadline := time.Now().Add(10 * time.Second)
-	for b.cl.stolenTotal.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("thief never completed the stolen job (errors=%d)", b.cl.stealErrors.Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	b.gate.release()
+	waitFor(t, "thief never completed the stolen job", func() bool { return b.cl.stolenTotal.Load() > 0 })
 	// The completion landed: a late reclaim sweep must take nothing.
 	if n := a.srv.ReclaimStolen(0); n != 0 {
 		t.Fatalf("reclaim took %d jobs after their completion landed, want 0", n)
 	}
-	close(aGate)
+	a.gate.release()
 	finishAll(t, nodes, ids)
 	if got := b.cl.stolenTotal.Load(); got != 1 {
 		t.Fatalf("thief counted %d completed steals, want 1", got)

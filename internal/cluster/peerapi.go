@@ -165,7 +165,7 @@ func (c *Cluster) handlePeerJournal(w http.ResponseWriter, r *http.Request) {
 // every job donated to that peer immediately — waiting out the deadline
 // sweep would hold the victim's jobs hostage to a dead thief. A down→up
 // transition after the peer was ever up is a partition heal, counted for
-// the chaos gate's convergence assertions.
+// the chaos schedule's convergence assertions.
 func (c *Cluster) probeLoop(p *peer) {
 	defer c.wg.Done()
 	for {

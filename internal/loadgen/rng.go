@@ -1,5 +1,7 @@
 package loadgen
 
+import "repro/internal/splitmix"
+
 // rng is a splitmix64 PRNG: tiny, fast, and fully determined by its seed,
 // which is what makes replayable schedules and byte-for-byte reproducible
 // reports possible. Every randomized choice in this package — arrival
@@ -10,13 +12,7 @@ type rng struct{ state uint64 }
 func newRNG(seed uint64) *rng { return &rng{state: seed} }
 
 // next returns the next 64 random bits.
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *rng) next() uint64 { return splitmix.Next(&r.state) }
 
 // float64 returns a uniform value in [0, 1).
 func (r *rng) float64() float64 {

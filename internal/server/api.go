@@ -215,7 +215,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			fl.Flush()
-			if ev.Type == "done" || ev.Type == "error" {
+			if ev.terminal() {
 				return
 			}
 		}

@@ -114,21 +114,25 @@ func (s *Server) writePhaseHistograms(b *strings.Builder) {
 			fmt.Fprintf(b, "# HELP %s Job lifecycle phase durations (admission, dedup, queue, rep, journal, publish).\n# TYPE %s histogram\n", name, name)
 			any = true
 		}
-		labels := fmt.Sprintf("phase=%q", p.String())
-		var cum int64
-		for _, bucket := range h.Buckets() {
-			cum += bucket.Count
-			fmt.Fprintf(b, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, float64(bucket.Hi)/1e9, cum)
-		}
-		fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, h.N())
-		fmt.Fprintf(b, "%s_sum{%s} %g\n", name, labels, float64(h.Sum())/1e9)
-		fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, h.N())
+		writeHistogram(b, name, fmt.Sprintf("phase=%q", p.String()), h)
 	}
 }
 
-// writeHistograms renders every (workload, kit) run-duration series. The
+// writeHistogram renders one labeled histogram series. The
 // stats.Histogram's power-of-two buckets become the cumulative `le` bounds,
 // converted from nanoseconds to Prometheus' canonical seconds.
+func writeHistogram(b *strings.Builder, name, labels string, h *stats.Histogram) {
+	var cum int64
+	for _, bucket := range h.Buckets() {
+		cum += bucket.Count
+		fmt.Fprintf(b, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, float64(bucket.Hi)/1e9, cum)
+	}
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, h.N())
+	fmt.Fprintf(b, "%s_sum{%s} %g\n", name, labels, float64(h.Sum())/1e9)
+	fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, h.N())
+}
+
+// writeHistograms renders every (workload, kit) run-duration series.
 func (s *Server) writeHistograms(b *strings.Builder) {
 	s.histMu.Lock()
 	keys := make([]histKey, 0, len(s.hists))
@@ -156,15 +160,6 @@ func (s *Server) writeHistograms(b *strings.Builder) {
 	const name = "splash4d_run_duration_seconds"
 	fmt.Fprintf(b, "# HELP %s Wall time of measured benchmark repetitions.\n# TYPE %s histogram\n", name, name)
 	for _, k := range keys {
-		h := snaps[k]
-		labels := fmt.Sprintf(`workload=%q,kit=%q`, k.workload, k.kit)
-		var cum int64
-		for _, bucket := range h.Buckets() {
-			cum += bucket.Count
-			fmt.Fprintf(b, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, float64(bucket.Hi)/1e9, cum)
-		}
-		fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, h.N())
-		fmt.Fprintf(b, "%s_sum{%s} %g\n", name, labels, float64(h.Sum())/1e9)
-		fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, h.N())
+		writeHistogram(b, name, fmt.Sprintf(`workload=%q,kit=%q`, k.workload, k.kit), snaps[k])
 	}
 }

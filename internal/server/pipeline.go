@@ -101,6 +101,9 @@ type Event struct {
 	Data map[string]any `json:"data,omitempty"`
 }
 
+// terminal reports whether ev is a job's last event.
+func (ev Event) terminal() bool { return ev.Type == "done" || ev.Type == "error" }
+
 // Job is one accepted measurement. Jobs are shared by pointer only: the
 // struct embeds atomic state.
 type Job struct {
@@ -133,12 +136,6 @@ type Job struct {
 // State returns the job's current lifecycle state.
 func (j *Job) State() State { return State(j.state.Load()) }
 
-// terminal reports whether the job has finished (successfully or not).
-func (j *Job) terminal() bool {
-	st := j.State()
-	return st == StateDone || st == StateFailed
-}
-
 // emit appends a progress event and fans it out to subscribers. Event
 // volume per job is bounded (one per repetition plus a constant), so the
 // subscriber channels — sized for that bound — never fill; the non-blocking
@@ -156,14 +153,17 @@ func (j *Job) emit(typ string, data map[string]any) {
 	}
 }
 
-// subscribe returns the events emitted so far and, unless the job is
-// already terminal, a channel delivering subsequent ones. cancel must be
-// called when the consumer leaves.
+// subscribe returns the events emitted so far and, unless the terminal
+// event is among them, a channel delivering subsequent ones. The replay
+// itself decides, not the job's state: finishJob stores the terminal state
+// before it emits the terminal event, and emit appends under the same j.mu
+// held here, so a subscriber arriving in between still gets a channel and
+// the event. cancel must be called when the consumer leaves.
 func (j *Job) subscribe(chanCap int) (replay []Event, ch chan Event, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	replay = append(replay, j.events...)
-	if j.terminal() {
+	if n := len(replay); n > 0 && replay[n-1].terminal() {
 		return replay, nil, func() {}
 	}
 	ch = make(chan Event, chanCap)
@@ -256,6 +256,10 @@ func (s *Server) submit(sp Spec, reqID string, ss *telemetry.SpanSet) (job *Job,
 		RequestID: reqID,
 		spans:     ss,
 	}
+	// The singleflight lookup missed: dedup resolution ends here and the
+	// queue-wait phase begins. The mark must precede the TryPut that
+	// publishes the job, or a fast worker closes the queue span first.
+	j.spans.Mark(telemetry.PhaseDedup, 0)
 	// The lock-free ring is the admission gate: no room means 429, and
 	// nothing about this job survives the rejection.
 	if !s.queue.TryPut(j.Seq) {
@@ -270,9 +274,6 @@ func (s *Server) submit(sp Spec, reqID string, ss *telemetry.SpanSet) (job *Job,
 	s.jobsWG.Add(1)
 	s.mu.Unlock()
 
-	// Dedup resolution and the ring enqueue are behind us; the queue-wait
-	// phase starts here.
-	j.spans.Mark(telemetry.PhaseDedup, 0)
 	s.accepted.Inc()
 	j.emit("queued", map[string]any{
 		"id": j.ID, "workload": sp.Workload, "kit": sp.Kit,

@@ -149,3 +149,46 @@ func BenchmarkSSEEncodeStdlibJSON(b *testing.B) {
 		fmt.Fprintf(io.Discard, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, payload)
 	}
 }
+
+// TestSubscribeBetweenTerminalStateAndEvent subscribes in the window where
+// finishJob has stored the terminal state but not yet emitted the terminal
+// event: the subscriber must still get a live channel and exactly one
+// terminal event, and a subscriber arriving after it gets it by replay.
+func TestSubscribeBetweenTerminalStateAndEvent(t *testing.T) {
+	j := &Job{ID: "r-000001"}
+	j.emit("queued", nil)
+	j.emit("started", nil)
+	j.state.Store(int32(StateDone)) // finishJob: state first ...
+
+	replay, ch, cancel := j.subscribe(4)
+	defer cancel()
+	if ch == nil {
+		t.Fatal("subscriber in the state-before-event window got no channel: its stream ends without the terminal event")
+	}
+	j.emit("done", nil) // ... terminal event second
+
+	var terminal int
+	for _, ev := range replay {
+		if ev.terminal() {
+			terminal++
+		}
+	}
+	select {
+	case ev := <-ch:
+		if ev.Type != "done" {
+			t.Fatalf("live event %q, want done", ev.Type)
+		}
+		terminal++
+	default:
+		t.Fatal("terminal event never reached the subscriber's channel")
+	}
+	if terminal != 1 || len(ch) != 0 {
+		t.Fatalf("subscriber saw %d terminal events (+%d queued), want exactly 1", terminal, len(ch))
+	}
+
+	late, lateCh, lateCancel := j.subscribe(4)
+	defer lateCancel()
+	if lateCh != nil || len(late) != 3 || late[2].Type != "done" {
+		t.Fatalf("late subscriber: channel %v, replay %+v; want nil channel and the full replay", lateCh, late)
+	}
+}

@@ -3,15 +3,18 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/promtext"
 	"repro/internal/telemetry"
 )
@@ -137,20 +140,28 @@ func TestSpanChainBothKits(t *testing.T) {
 	}
 
 	// Every terminal job must appear in the access log as a kind=job line
-	// holding its request ID and complete span chain.
+	// holding its request ID and complete span chain, beside the kind=http
+	// lines of the exchanges that drove it.
 	if err := accessLog.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	jobLines := map[string]map[string]any{} // request_id -> entry
+	httpLines := 0
 	sc := bufio.NewScanner(strings.NewReader(logBuf.String()))
 	for sc.Scan() {
 		var entry map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &entry); err != nil {
 			t.Fatalf("unparseable access-log line %q: %v", sc.Text(), err)
 		}
-		if entry["kind"] == "job" {
+		switch entry["kind"] {
+		case "job":
 			jobLines[entry["request_id"].(string)] = entry
+		case "http":
+			httpLines++
 		}
+	}
+	if httpLines == 0 {
+		t.Error("access log holds no kind=http line for the exchanges above")
 	}
 	for kit, id := range reqIDs {
 		entry, ok := jobLines[id]
@@ -273,4 +284,44 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		}
 	}
 	mustHave("splash4d_run_duration_seconds_count", map[string]string{"workload": "fft", "kit": "lockfree"})
+}
+
+// TestDedupSpanClosesBeforeQueue floods two workers with instant jobs, so a
+// worker is always ready to pick a job up the instant the ring publishes
+// it, and requires a complete, ordered span chain on every job view: the
+// submitter's dedup mark must never land after the worker's queue mark.
+func TestDedupSpanClosesBeforeQueue(t *testing.T) {
+	bench := &gatedBench{name: "instant"} // nil gate: Run returns at once
+	s, _ := newTestServer(t, Config{
+		Workers: 2, QueueCapacity: 64, TraceCapacity: 16,
+		Resolver: func(string) (core.Benchmark, error) { return bench, nil },
+	})
+	const jobs = 4000
+	all := make([]*Job, 0, jobs)
+	for seed := int64(0); seed < jobs; seed++ {
+		sp := Spec{Workload: "instant", Kit: "lockfree", Threads: 1, Scale: "test", Seed: seed, Reps: 1}
+		for {
+			ss := telemetry.NewSpanSet(time.Now(), sp.Reps)
+			ss.Mark(telemetry.PhaseAdmission, 0)
+			j, _, err := s.submit(sp, "", ss)
+			if err == errBusy {
+				runtime.Gosched() // ring full: let the workers drain it
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, j)
+			break
+		}
+	}
+	// Drain returns once every accepted job has closed its publish span.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range all {
+		if err := telemetry.ChainPhases(viewSpans(t, s.jobView(j, false))); err != nil {
+			t.Fatalf("job %s: %v", j.ID, err)
+		}
+	}
 }

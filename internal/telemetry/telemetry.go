@@ -38,11 +38,11 @@ const (
 	// PhaseAdmission covers request arrival through spec validation and
 	// job construction.
 	PhaseAdmission Phase = iota
-	// PhaseDedup covers singleflight resolution and the admission-ring
-	// enqueue.
+	// PhaseDedup covers singleflight resolution; it closes before the
+	// admission-ring enqueue publishes the job to the workers.
 	PhaseDedup
-	// PhaseQueue covers the wait in the admission ring until a worker
-	// picks the job up.
+	// PhaseQueue covers the ring enqueue and the wait in the admission
+	// ring until a worker picks the job up.
 	PhaseQueue
 	// PhaseRep covers one harness repetition (the first also absorbs kit
 	// and scale resolution plus warmup).
