@@ -4,7 +4,8 @@
 #                     invariants, conformance, full test suite (which holds
 #                     every daemon and cluster end-to-end check), allocs
 #                     gate, trace smoke test
-#   make race         tier-2 gate: the whole suite under the Go race detector
+#   make race         tier-2 gate: the whole suite under the Go race detector,
+#                     then the event-order stress test 20 more times
 #   make vet          just the concurrency-invariant analyzers (splash4-vet)
 #   make allocs-gate  re-measure every //sync4:zeroalloc annotation with
 #                     testing.AllocsPerRun (uncached)
@@ -49,8 +50,12 @@ vet:
 allocs-gate:
 	$(GO) test -count=1 -run ZeroAlloc ./internal/allocgate/ ./internal/sync4/... ./internal/server/
 
+# The event-order test's window is scheduling-dependent (a submitter losing
+# the CPU between publishing a job and announcing it), so one pass proves
+# little: race repeats it 20 times on top of the suite's single run.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
 
 test:
 	$(GO) test ./...

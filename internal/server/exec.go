@@ -72,7 +72,9 @@ func (s *Server) executeSpec(ctx context.Context, sp Spec, obs execObserver) (ex
 	if err != nil {
 		return out, err
 	}
-	rec := trace.NewRecorder(2*sp.Threads+2, s.cfg.TraceCapacity)
+	// The recorder returns to the pool only past the loop: every early
+	// return below may leave abandoned workers still recording into it.
+	rec := s.recorders.get(2*sp.Threads + 2)
 	for rep := 0; rep < sp.Reps; rep++ {
 		if err := ctx.Err(); err != nil {
 			return out, s.decorateTimeout(err)
@@ -105,6 +107,7 @@ func (s *Server) executeSpec(ctx context.Context, sp Spec, obs execObserver) (ex
 		obs.repDone(rep, d, out.TraceEvents, int64(res.Trace.TotalDropped()),
 			out.SyncOps, trace.Blocked(res.Trace).Total.Sum())
 	}
+	s.recorders.put(rec)
 	return out, nil
 }
 

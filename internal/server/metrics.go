@@ -50,6 +50,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("splash4d_jobs_failed_total", "Jobs that ended in an error (including canceled).", s.failed.Load())
 	counter("splash4d_jobs_deduped_total", "Submissions answered by an already-active identical job.", s.deduped.Load())
 	counter("splash4d_append_retries_total", "Journal appends that failed and were retried.", s.appendRetries.Load())
+	counter("splash4d_trace_recorders_reused_total", "Jobs that ran on a recycled trace recorder.", s.recorders.reused.Load())
+	counter("splash4d_trace_recorders_allocated_total", "Jobs that had to allocate a fresh trace recorder (cold pool, new thread count, or the last one was lost to a stalled job).", s.recorders.allocated.Load())
 
 	// Work-stealing flow (clustered deployments; all zero single-node).
 	gauge("splash4d_jobs_stolen_outstanding", "Donated jobs whose outcome a peer still owes.", s.StolenCount())

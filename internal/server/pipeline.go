@@ -158,13 +158,20 @@ func (j *Job) emit(typ string, data map[string]any) {
 // itself decides, not the job's state: finishJob stores the terminal state
 // before it emits the terminal event, and emit appends under the same j.mu
 // held here, so a subscriber arriving in between still gets a channel and
-// the event. cancel must be called when the consumer leaves.
+// the event. A terminal event anywhere in the replay ends the stream, not
+// only in last place: nothing will ever follow it on a channel, so a
+// subscriber handed one would wait forever. cancel must be called when the
+// consumer leaves.
+//
+//sync4:req SYNC4-SERVE-012 v1 MUST A job's event stream is ordered and finite: every event that announces a hand-over (queued, stolen, reclaimed) is emitted before the job becomes visible to whoever acts on it next, so queued is always seq 0 and exactly one terminal event comes last; and a subscriber whose replay already holds a terminal event, at any position, gets no live channel and its stream closes.
 func (j *Job) subscribe(chanCap int) (replay []Event, ch chan Event, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	replay = append(replay, j.events...)
-	if n := len(replay); n > 0 && replay[n-1].terminal() {
-		return replay, nil, func() {}
+	for _, ev := range replay {
+		if ev.terminal() {
+			return replay, nil, func() {}
+		}
 	}
 	ch = make(chan Event, chanCap)
 	j.subs = append(j.subs, ch)
@@ -257,9 +264,15 @@ func (s *Server) submit(sp Spec, reqID string, ss *telemetry.SpanSet) (job *Job,
 		spans:     ss,
 	}
 	// The singleflight lookup missed: dedup resolution ends here and the
-	// queue-wait phase begins. The mark must precede the TryPut that
-	// publishes the job, or a fast worker closes the queue span first.
+	// queue-wait phase begins. The mark and the queued event must precede
+	// the TryPut that publishes the job, or a fast worker closes the queue
+	// span — or emits started, rep and done — first. queue_depth is thus
+	// the number of jobs ahead of this one at admission.
 	j.spans.Mark(telemetry.PhaseDedup, 0)
+	j.emit("queued", map[string]any{
+		"id": j.ID, "workload": sp.Workload, "kit": sp.Kit,
+		"queue_depth": s.queue.Len(), "request_id": j.RequestID,
+	})
 	// The lock-free ring is the admission gate: no room means 429, and
 	// nothing about this job survives the rejection.
 	if !s.queue.TryPut(j.Seq) {
@@ -275,10 +288,6 @@ func (s *Server) submit(sp Spec, reqID string, ss *telemetry.SpanSet) (job *Job,
 	s.mu.Unlock()
 
 	s.accepted.Inc()
-	j.emit("queued", map[string]any{
-		"id": j.ID, "workload": sp.Workload, "kit": sp.Kit,
-		"queue_depth": s.queue.Len(), "request_id": j.RequestID,
-	})
 	// Offer a wake token; a full channel already holds enough pending
 	// wake-ups to drain the ring past this job (see the wake field's
 	// invariant), so dropping the token is safe.

@@ -165,6 +165,10 @@ type Server struct {
 	donated   sync4.Counter
 	reclaimed sync4.Counter
 
+	// recorders is the execution engine's free list of trace recorders
+	// (recorders.go): jobs that end normally hand theirs to the next.
+	recorders *recorderPool
+
 	histMu sync.Mutex
 	hists  map[histKey]*stats.Histogram
 
@@ -254,6 +258,7 @@ func New(cfg Config) (*Server, error) {
 		donated:          kit.NewCounter(),
 		reclaimed:        kit.NewCounter(),
 		appendRetries:    kit.NewCounter(),
+		recorders:        newRecorderPool(kit, cfg.TraceCapacity, cfg.Workers),
 		hists:            make(map[histKey]*stats.Histogram),
 		phases:           telemetry.NewRegistry(),
 		accessLog:        cfg.AccessLog,

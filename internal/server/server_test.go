@@ -42,7 +42,7 @@ func (i *gatedInstance) Verify() error { return nil }
 
 // newTestServer builds a server over a temp store. A nil resolver uses the
 // real suite registry.
-func newTestServer(t *testing.T, cfg Config) (*Server, *resultstore.Store) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *resultstore.Store) {
 	t.Helper()
 	store, err := resultstore.Open(filepath.Join(t.TempDir(), "results.jsonl"))
 	if err != nil {

@@ -1,13 +1,22 @@
 package server
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // sseEvents is the corpus of event shapes the pipeline actually emits plus
@@ -191,4 +200,143 @@ func TestSubscribeBetweenTerminalStateAndEvent(t *testing.T) {
 	if lateCh != nil || len(late) != 3 || late[2].Type != "done" {
 		t.Fatalf("late subscriber: channel %v, replay %+v; want nil channel and the full replay", lateCh, late)
 	}
+}
+
+// TestSubscribeAfterMisorderedTerminalEvent: a terminal event that is not
+// the last one recorded (here the order a descheduled submitter used to
+// produce: the worker's started, rep, done, then the late queued) still
+// ends the stream — nothing can follow it on a channel, so a subscriber
+// handed one would wait forever.
+//
+//sync4:covers SYNC4-SERVE-012
+func TestSubscribeAfterMisorderedTerminalEvent(t *testing.T) {
+	j := &Job{ID: "r-000001"}
+	for _, typ := range []string{"started", "rep", "done", "queued"} {
+		j.emit(typ, nil)
+	}
+	replay, ch, cancel := j.subscribe(4)
+	defer cancel()
+	if ch != nil {
+		t.Fatal("replay holds the terminal event, yet the subscriber got a live channel: its stream never ends")
+	}
+	if len(replay) != 4 {
+		t.Fatalf("replay = %+v, want all 4 events", replay)
+	}
+}
+
+// serveStream runs one in-process GET /runs/{id}/events to the end of the
+// stream (or ctx) and returns the events in wire order.
+func serveStream(ctx context.Context, h http.Handler, id string) ([]Event, error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/runs/"+id+"/events", nil).WithContext(ctx))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("GET /runs/%s/events = %d", id, rec.Code)
+	}
+	var evs []Event
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			return nil, fmt.Errorf("run %s: event %q: %v", id, data, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs, ctx.Err()
+}
+
+// submitAndFollow posts one spec in process (retrying while the ring is
+// full), reads the job's event stream to its end and checks the order
+// guarantee: queued at seq 0, seqs 0..n-1, one terminal event, in last
+// place, and a stream that closes by itself.
+func submitAndFollow(h http.Handler, spec string) error {
+	var id string
+	for id == "" {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/runs", strings.NewReader(spec)))
+		switch rec.Code {
+		case http.StatusAccepted:
+			var body struct{ ID string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.ID == "" {
+				return fmt.Errorf("POST /runs body %q: %v", rec.Body, err)
+			}
+			id = body.ID
+		case http.StatusTooManyRequests:
+			runtime.Gosched() // ring full: let the workers drain it
+		default:
+			return fmt.Errorf("POST /runs = %d (%s)", rec.Code, rec.Body)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	evs, err := serveStream(ctx, h, id)
+	if err != nil {
+		return fmt.Errorf("run %s: stream did not close (%v); events %+v", id, err, evs)
+	}
+	if len(evs) < 2 || evs[0].Type != "queued" || !evs[len(evs)-1].terminal() {
+		return fmt.Errorf("run %s: stream %+v, want queued first and a terminal event last", id, evs)
+	}
+	for seq, ev := range evs {
+		if ev.Seq != seq || (ev.terminal() && seq != len(evs)-1) {
+			return fmt.Errorf("run %s: stream %+v, want seq 0..%d and one terminal event", id, evs, len(evs)-1)
+		}
+	}
+	return nil
+}
+
+// TestEventStreamOrderUnderInstantJobs pushes a few thousand jobs that
+// finish the moment a worker touches them through POST /runs and
+// GET /runs/{id}/events, with more clients than CPUs and the collector
+// preempting everyone, so a submitter regularly loses the CPU between
+// publishing its job and returning. Every stream must still pass
+// submitAndFollow's checks.
+//
+//sync4:covers SYNC4-SERVE-012
+func TestEventStreamOrderUnderInstantJobs(t *testing.T) {
+	bench := &gatedBench{name: "instant"} // nil gate: Run returns at once
+	s, _ := newTestServer(t, Config{
+		Workers: 2, QueueCapacity: 64, TraceCapacity: 16,
+		Resolver: func(string) (core.Benchmark, error) { return bench, nil },
+	})
+	h := s.Handler()
+
+	stopGC := make(chan struct{})
+	var gcWG sync.WaitGroup
+	gcWG.Add(1)
+	go func() {
+		defer gcWG.Done()
+		for {
+			select {
+			case <-stopGC:
+				return
+			default:
+				runtime.GC() // stop-the-world preempts submitters at arbitrary points
+			}
+		}
+	}()
+
+	const clients, perClient = 8, 300
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			for i := 0; i < perClient; i++ {
+				spec := fmt.Sprintf(`{"workload":"instant","kit":"lockfree","threads":1,"seed":%d}`, c*perClient+i)
+				if err := submitAndFollow(h, spec); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stopGC)
+	gcWG.Wait()
 }

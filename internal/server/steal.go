@@ -56,9 +56,9 @@ func (s *Server) Donate(max int, thief string) []StolenJob {
 		return nil
 	}
 	var donated []StolenJob
-	var jobs []*Job
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for len(donated) < max {
 		seq, ok := s.queue.TryGet()
 		if !ok {
@@ -69,14 +69,10 @@ func (s *Server) Donate(max int, thief string) []StolenJob {
 		if j == nil {
 			continue
 		}
-		s.stolen[j.ID] = &stolenEntry{job: j, thief: thief, since: now}
-		donated = append(donated, StolenJob{ID: j.ID, Spec: j.Spec})
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	// Events and state transitions happen outside s.mu (j.emit takes j.mu;
-	// the lock order is always s.mu before j.mu, never nested).
-	for _, j := range jobs {
+		// State and the stolen event come before the stolen-map entry, all
+		// under s.mu: a completion or reclaim can only find the entry once
+		// the lock drops, so whatever it emits follows. (s.mu then j.mu
+		// nests safely: nothing takes them in the other order.)
 		j.spans.Mark(telemetry.PhaseQueue, 0)
 		j.state.Store(int32(StateRunning))
 		j.mu.Lock()
@@ -88,6 +84,8 @@ func (s *Server) Donate(max int, thief string) []StolenJob {
 			"node": thief, "threads": j.Spec.Threads,
 			"scale": j.Spec.Scale, "reps": j.Spec.Reps,
 		})
+		s.stolen[j.ID] = &stolenEntry{job: j, thief: thief, since: now}
+		donated = append(donated, StolenJob{ID: j.ID, Spec: j.Spec})
 	}
 	return donated
 }
@@ -144,62 +142,37 @@ func (s *Server) CompleteStolen(id string, res RemoteResult) error {
 // leaves the job in the stolen map for the next sweep — it is never lost.
 func (s *Server) ReclaimStolen(olderThan time.Duration) int {
 	cutoff := time.Now().Add(-olderThan)
-	var took []*Job
-	s.mu.Lock()
-	for id, e := range s.stolen {
-		if e.since.After(cutoff) {
-			continue
-		}
-		j := e.job
-		// Back onto the ring under s.mu: bySeq must be registered before
-		// any worker can TryGet the seq.
-		s.bySeq[j.Seq] = j
-		if !s.queue.TryPut(j.Seq) {
-			delete(s.bySeq, j.Seq)
-			continue // ring full; retry on the next sweep
-		}
-		delete(s.stolen, id)
-		took = append(took, j)
-	}
-	s.mu.Unlock()
-	for _, j := range took {
-		s.reclaimed.Inc()
-		j.state.Store(int32(StateQueued))
-		// The job will run locally after all; it no longer "ran on" the
-		// thief, whose measurement (if any ever arrives) is refused.
-		j.mu.Lock()
-		j.ranOn = ""
-		j.mu.Unlock()
-		j.emit("reclaimed", map[string]any{"queue_depth": s.queue.Len()})
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-	}
-	return len(took)
+	return s.reclaim(func(e *stolenEntry) bool { return !e.since.After(cutoff) })
 }
 
 // ReclaimStolenFrom takes back every job donated to one thief regardless
 // of age — the cluster calls it the moment a peer's health probe flips to
 // down, so a dead thief's jobs re-queue without waiting out the deadline.
 func (s *Server) ReclaimStolenFrom(thief string) int {
-	var took []*Job
+	return s.reclaim(func(e *stolenEntry) bool { return e.thief == thief })
+}
+
+// reclaim puts every donated job that match selects back on the admission
+// ring. The whole hand-over happens under s.mu: a worker may pop the seq
+// the instant TryPut lands, but it needs s.mu to resolve it through bySeq,
+// so the reclaimed event and the state change always precede its started.
+func (s *Server) reclaim(match func(*stolenEntry) bool) int {
+	var took int
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for id, e := range s.stolen {
-		if e.thief != thief {
+		if !match(e) {
 			continue
 		}
 		j := e.job
+		ahead := s.queue.Len()
 		s.bySeq[j.Seq] = j
 		if !s.queue.TryPut(j.Seq) {
 			delete(s.bySeq, j.Seq)
-			continue
+			continue // ring full; retry on the next sweep
 		}
 		delete(s.stolen, id)
-		took = append(took, j)
-	}
-	s.mu.Unlock()
-	for _, j := range took {
+		took++
 		s.reclaimed.Inc()
 		j.state.Store(int32(StateQueued))
 		// The job will run locally after all; it no longer "ran on" the
@@ -207,13 +180,13 @@ func (s *Server) ReclaimStolenFrom(thief string) int {
 		j.mu.Lock()
 		j.ranOn = ""
 		j.mu.Unlock()
-		j.emit("reclaimed", map[string]any{"queue_depth": s.queue.Len()})
+		j.emit("reclaimed", map[string]any{"queue_depth": ahead})
 		select {
 		case s.wake <- struct{}{}:
 		default:
 		}
 	}
-	return len(took)
+	return took
 }
 
 // failStolen fails every outstanding donated job with cause: the forced

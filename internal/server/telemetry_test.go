@@ -238,11 +238,14 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, body := postRun(t, ts, `{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","seed":3,"reps":1}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /runs = %d (%v)", code, body)
+	// Two jobs of one shape: the second runs on the first one's recorder.
+	for seed := 3; seed <= 4; seed++ {
+		code, body := postRun(t, ts, fmt.Sprintf(`{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","seed":%d,"reps":1}`, seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("POST /runs = %d (%v)", code, body)
+		}
+		waitStatus(t, ts, body["id"].(string), "done")
 	}
-	waitStatus(t, ts, body["id"].(string), "done")
 	// A deliberate 400 so the HTTP status counter has more than one code.
 	if code, _ := postRun(t, ts, `{"workload":"nope"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad spec = %d, want 400", code)
@@ -265,8 +268,11 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		}
 		return v
 	}
-	if v := mustHave("splash4d_jobs_completed_total", nil); v != 1 {
-		t.Errorf("completed_total = %g, want 1", v)
+	if v := mustHave("splash4d_jobs_completed_total", nil); v != 2 {
+		t.Errorf("completed_total = %g, want 2", v)
+	}
+	if alloc, reused := mustHave("splash4d_trace_recorders_allocated_total", nil), mustHave("splash4d_trace_recorders_reused_total", nil); alloc != 1 || reused != 1 {
+		t.Errorf("trace recorders allocated = %g, reused = %g; want 1 and 1", alloc, reused)
 	}
 	mustHave("splash4d_queue_depth", nil)
 	mustHave("splash4d_retry_after_seconds", nil)

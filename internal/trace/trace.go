@@ -171,9 +171,9 @@ type slot struct {
 }
 
 // Recorder records synchronization events into per-OS-thread lanes.
-// Recording methods are safe for concurrent use; Reset and Snapshot require
-// quiescence (no concurrent recording), which the harness guarantees by
-// calling them between repetitions.
+// Recording methods are safe for concurrent use; Reset, Recycle and Snapshot
+// require quiescence (no concurrent recording), which the harness guarantees
+// by calling them between repetitions.
 type Recorder struct {
 	epochNanos atomic.Int64 // monotonic offset of the current epoch, see Reset
 	epoch      time.Time
@@ -221,6 +221,10 @@ func NewRecorder(maxLanes, capacity int) *Recorder {
 	}
 	return r
 }
+
+// MaxLanes returns the number of per-thread buffers the recorder was built
+// with.
+func (r *Recorder) MaxLanes() int { return len(r.lanes) }
 
 // Epoch returns the time origin of event offsets: Epoch().Add(ev.Start)
 // is the event's wall-clock start.
@@ -384,6 +388,27 @@ func (r *Recorder) Reset() {
 	now := time.Since(r.base).Nanoseconds()
 	r.epochNanos.Store(now)
 	r.epoch = r.base.Add(time.Duration(now))
+}
+
+// Recycle restores the just-constructed state so the recorder can serve an
+// unrelated run: Reset, plus everything Reset deliberately keeps — the
+// thread table and lane claims (the next run's workers are other OS threads;
+// kept, the table fills and their events are lost to NoLane) and the object
+// registry (ids restart at 0). The event buffers are reused as they are:
+// nothing reads past a lane's cursor. Like Reset it requires quiescence, and
+// every goroutine that ever recorded here must have been joined — a recorder
+// some abandoned worker may still write to must be dropped, not recycled.
+func (r *Recorder) Recycle() {
+	r.Reset()
+	for i := range r.slots {
+		r.slots[i].key.Store(0)
+		r.slots[i].lane.Store(0)
+	}
+	r.nextLane.Store(0)
+	r.mu.Lock()
+	r.objects = r.objects[:0]
+	r.famSeq = [numFamilies]int32{}
+	r.mu.Unlock()
 }
 
 // Capture is a quiescent copy of a recorder's state, the unit the

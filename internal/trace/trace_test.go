@@ -93,6 +93,60 @@ func TestRecorderReset(t *testing.T) {
 	}
 }
 
+// TestRecorderRecycle reuses one recorder for many unrelated runs, each on
+// OS threads the recorder has never seen (a goroutine that exits while
+// locked takes its thread with it). After Recycle the recorder must be
+// indistinguishable from a fresh one — object ids from 0, an empty capture,
+// every lane claimable — where Reset alone would keep the first round's
+// lane claims and lose every later round's events to NoLane.
+func TestRecorderRecycle(t *testing.T) {
+	const lanes, perThread, rounds = 2, 5, 120
+	r := trace.NewRecorder(lanes, 8)
+	for round := 0; round < rounds; round++ {
+		bar := r.RegisterObject(trace.FamilyBarrier)
+		ctr := r.RegisterObject(trace.FamilyCounter)
+		if bar != 0 || ctr != 1 {
+			t.Fatalf("round %d: object ids %d,%d, want 0,1 as on a fresh recorder", round, bar, ctr)
+		}
+		var ready, wg sync.WaitGroup
+		start := make(chan struct{})
+		ready.Add(lanes)
+		for w := 0; w < lanes; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runtime.LockOSThread() // never unlocked: the thread dies with the goroutine
+				ready.Done()
+				<-start
+				for i := 0; i < perThread; i++ {
+					r.Record(trace.OpRMW, ctr, r.Now())
+				}
+			}()
+		}
+		ready.Wait()
+		close(start)
+		wg.Wait()
+
+		c := r.Snapshot()
+		if c.Events() != lanes*perThread || c.TotalDropped() != 0 || len(c.Lanes) != lanes {
+			t.Fatalf("round %d: events=%d dropped=%d (noLane=%d) lanes=%d, want %d/0/%d",
+				round, c.Events(), c.TotalDropped(), c.NoLane, len(c.Lanes), lanes*perThread, lanes)
+		}
+		if len(c.Objects) != 2 || c.Objects[1] != (trace.Object{Family: trace.FamilyCounter}) {
+			t.Fatalf("round %d: registry %+v, want the round's own two objects", round, c.Objects)
+		}
+
+		r.Recycle()
+		if c := r.Snapshot(); c.Events() != 0 || c.TotalDropped() != 0 || len(c.Lanes) != 0 || len(c.Objects) != 0 {
+			t.Fatalf("round %d: recycled recorder not empty: events=%d dropped=%d lanes=%d objects=%d",
+				round, c.Events(), c.TotalDropped(), len(c.Lanes), len(c.Objects))
+		}
+		if n := r.Now(); n > int64(500*time.Millisecond) {
+			t.Fatalf("round %d: post-recycle Now() = %v, epoch not re-armed", round, time.Duration(n))
+		}
+	}
+}
+
 // TestRecorderPinnedLanes drives the recorder the way the harness does:
 // every worker pinned to its OS thread. Each worker's events must land in
 // one lane, in start order, with nothing lost.
