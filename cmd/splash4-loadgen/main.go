@@ -1,122 +1,67 @@
 // Command splash4-loadgen is the splash4d traffic lab: a seeded,
-// replayable load generator with four schedule shapes (steady, burst,
+// replayable what-if simulator with four schedule shapes (steady, burst,
 // diurnal, dedup-hostile) and an SLO gate that turns latency percentiles
-// and error budgets into a CI verdict.
+// and error budgets into a verdict.
 //
-// Two modes:
+//	splash4-loadgen -seed 42 -out BENCH_traffic.json
 //
-//	splash4-loadgen -mode sim  -seed 42 -out BENCH_traffic.json
-//	splash4-loadgen -mode live [-target http://host:8724] -out BENCH_traffic_live.json
+// The schedules run through a deterministic virtual-clock model of the
+// daemon's admission pipeline (bounded ring, worker pool, singleflight
+// dedup, adaptive Retry-After): the same seed always produces
+// byte-identical report output, so the artifact is diffable across runs.
+// Exit status is 0 only if every shape passed its SLO.
 //
-// Sim mode runs the schedules through a deterministic virtual-clock model
-// of the daemon's admission pipeline (bounded ring, worker pool,
-// singleflight dedup, adaptive Retry-After): the same seed always produces
-// byte-identical report output, so the gate artifact is diffable across
-// CI runs. Live mode drives real HTTP traffic — against -target (a
-// comma-separated list round-robins submissions across cluster nodes;
-// each job is polled on the node that accepted it, and a connection error
-// or non-503 5xx fails the attempt over to the next node, counted in the
-// report's failovers field), or against a
-// self-hosted loopback splash4d when -target is empty — and
-// verifies the client retry contract end to end: 429s carry an in-range
-// Retry-After that the client honors, dedup-hostile clumps are answered by
-// singleflight (200 deduped), and (self-hosted only) an injected journal
-// fault produces degraded-mode 503s with Retry-After and a clean recovery.
-//
-// Exit status is 0 only if every shape passed its SLO and every contract
-// check held. `make traffic-gate` runs both modes.
+// The model is not the daemon. The client retry contract itself (429 and
+// 503 carry an in-range Retry-After, identical in-flight specs get a
+// singleflight 200, nothing accepted is lost) is specified in
+// docs/SERVICE.md and tested against the real server in internal/server.
 package main
 
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/loadgen"
-	"repro/internal/resultstore"
-	"repro/internal/server"
 )
 
 func main() {
 	var (
-		mode      = flag.String("mode", "sim", "sim (deterministic model) or live (real HTTP traffic)")
-		seed      = flag.Uint64("seed", 42, "schedule/model seed; a pinned seed makes sim output byte-stable")
+		seed      = flag.Uint64("seed", 42, "schedule/model seed; a pinned seed makes the output byte-stable")
 		out       = flag.String("out", "BENCH_traffic.json", "report artifact path")
-		requests  = flag.Int("requests", 400, "requests per shape (sim)")
-		spanS     = flag.Int("span", 60, "schedule window in virtual seconds (sim)")
-		workers   = flag.Int("workers", 4, "modeled worker pool size (sim)")
-		queueCap  = flag.Int("queue", 8, "modeled admission ring capacity (sim)")
-		serviceMS = flag.Int("service-ms", 200, "mean modeled job service time (sim)")
+		requests  = flag.Int("requests", 400, "requests per shape")
+		spanS     = flag.Int("span", 60, "schedule window in virtual seconds")
+		workers   = flag.Int("workers", 4, "modeled worker pool size")
+		queueCap  = flag.Int("queue", 8, "modeled admission ring capacity")
+		serviceMS = flag.Int("service-ms", 200, "mean modeled job service time")
 		retries   = flag.Int("retries", 3, "client retry budget after a 429/503 bounce")
-		target    = flag.String("target", "", "live target base URL(s), comma-separated to round-robin across cluster nodes; empty self-hosts a loopback splash4d")
-		loop      = flag.String("loop", "open", "live generator discipline: open or closed")
-		liveReqs  = flag.Int("live-requests", 32, "requests per shape (live)")
-		// The self-hosted live daemon is deliberately tiny — one worker over
-		// a capacity-2 ring — so the burst shape can actually overflow the
-		// ring and exercise the 429/Retry-After contract with test-scale
-		// (milliseconds-long) jobs.
-		liveWorkers = flag.Int("live-workers", 1, "self-hosted worker pool size (live, no -target)")
-		liveQueue   = flag.Int("live-queue", 2, "self-hosted ring capacity (live, no -target)")
 	)
 	flag.Parse()
 
-	var err error
-	switch *mode {
-	case "sim":
-		err = runSim(simParams{seed: *seed, out: *out, requests: *requests,
-			spanNS: int64(*spanS) * 1e9, workers: *workers, queueCap: *queueCap,
-			serviceNS: int64(*serviceMS) * 1e6, retries: *retries})
-	case "live":
-		err = runLive(liveParams{seed: *seed, out: *out, requests: *liveReqs,
-			workers: *liveWorkers, queueCap: *liveQueue, retries: *retries,
-			targets: splitTargets(*target), loop: *loop})
-	default:
-		err = fmt.Errorf("unknown mode %q (want sim or live)", *mode)
-	}
-	if err != nil {
+	simCfg := loadgen.SimConfig{Workers: *workers, QueueCap: *queueCap,
+		ServiceNS: int64(*serviceMS) * 1e6, MaxRetries: *retries}
+	if err := runSim(simCfg, *seed, *requests, int64(*spanS)*1e9, *out); err != nil {
 		log.Fatalf("splash4-loadgen: %v", err)
 	}
 }
 
-var errGate = errors.New("traffic gate failed")
-
-type simParams struct {
-	seed              uint64
-	out               string
-	requests          int
-	spanNS            int64
-	workers, queueCap int
-	serviceNS         int64
-	retries           int
-}
-
 // runSim executes every shape through the deterministic model and gates
 // the results against the pinned SLOs.
-func runSim(p simParams) error {
-	simCfg := loadgen.SimConfig{Workers: p.workers, QueueCap: p.queueCap,
-		ServiceNS: p.serviceNS, MaxRetries: p.retries}
+func runSim(simCfg loadgen.SimConfig, seed uint64, requests int, spanNS int64, out string) error {
 	slos := loadgen.SimSLOs(simCfg)
-	rep := &loadgen.Report{Mode: "sim", Seed: p.seed, Workers: p.workers,
-		QueueCap: p.queueCap, Requests: p.requests, SpanNS: p.spanNS}
+	rep := &loadgen.Report{Mode: "sim", Seed: seed, Workers: simCfg.Workers,
+		QueueCap: simCfg.QueueCap, Requests: requests, SpanNS: spanNS}
 	for _, shape := range loadgen.Shapes {
 		sched, err := loadgen.Schedule(loadgen.ScheduleConfig{
-			Shape: shape, Requests: p.requests, SpanNS: p.spanNS, Seed: p.seed})
+			Shape: shape, Requests: requests, SpanNS: spanNS, Seed: seed})
 		if err != nil {
 			return err
 		}
-		res, err := loadgen.Simulate(simCfg, sched, p.seed)
+		res, err := loadgen.Simulate(simCfg, sched, seed)
 		if err != nil {
 			return err
 		}
-		sr := loadgen.Gate(shape, p.requests, res.Latency,
+		sr := loadgen.Gate(shape, requests, res.Latency,
 			res.Accepted, res.Deduped, res.Rejected, res.Errors, slos[shape])
 		sr.MaxQueueDepth = res.MaxQueueDepth
 		sr.MaxRetryAfterS = res.MaxRetryAfterS
@@ -126,284 +71,12 @@ func runSim(p simParams) error {
 			sr.Accepted, sr.Deduped, sr.Rejected429, sr.Errors, sr.Pass)
 	}
 	rep.Finalize()
-	if err := rep.WriteFile(p.out); err != nil {
+	if err := rep.WriteFile(out); err != nil {
 		return err
 	}
-	log.Printf("sim: wrote %s (pass=%v)", p.out, rep.Pass)
+	log.Printf("sim: wrote %s (pass=%v)", out, rep.Pass)
 	if !rep.Pass {
-		return errGate
+		return errors.New("traffic gate failed")
 	}
 	return nil
-}
-
-type liveParams struct {
-	seed              uint64
-	out               string
-	requests          int
-	workers, queueCap int
-	retries           int
-	targets           []string
-	loop              string
-}
-
-// splitTargets parses the comma-separated -target list into base URLs.
-func splitTargets(raw string) []string {
-	var out []string
-	for _, t := range strings.Split(raw, ",") {
-		t = strings.TrimSuffix(strings.TrimSpace(t), "/")
-		if t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// runLive drives real traffic. With no -target it self-hosts a loopback
-// splash4d over a throwaway store with injectable journal faults, which is
-// the only configuration where the degraded-503 leg of the retry contract
-// can be verified non-destructively.
-func runLive(p liveParams) error {
-	targets := p.targets
-	var base string // self-hosted base, for the degraded-contract leg
-	var faults *resultstore.Faults
-	if len(targets) == 0 {
-		var cleanup func()
-		var err error
-		base, faults, cleanup, err = selfHost(p.workers, p.queueCap)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		targets = []string{base}
-	}
-
-	rep := &loadgen.Report{Mode: "live", Seed: p.seed, Workers: p.workers,
-		QueueCap: p.queueCap, Requests: p.requests, SpanNS: liveSpanNS}
-	check := func(ok bool, format string, args ...any) {
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-		}
-		rep.ContractChecks = append(rep.ContractChecks, fmt.Sprintf("%s: %s", verdict, fmt.Sprintf(format, args...)))
-	}
-
-	slos := liveSLOs()
-	for _, shape := range loadgen.Shapes {
-		sched, err := loadgen.Schedule(loadgen.ScheduleConfig{
-			Shape: shape, Requests: p.requests, SpanNS: liveSpanNS, Seed: p.seed})
-		if err != nil {
-			return err
-		}
-		res, err := loadgen.RunLive(loadgen.LiveConfig{
-			Targets:         targets,
-			Loop:            p.loop,
-			Concurrency:     16,
-			MaxRetries:      p.retries,
-			RetryAfterScale: 0.05, // honor the advice, compressed for CI
-			// Compress the virtual span 5× so a burst's arrivals land
-			// inside one job's service time and actually pile onto the
-			// tiny self-hosted ring.
-			TimeScale:    0.2,
-			SpecFor:      liveSpec(shape),
-			PollInterval: 10 * time.Millisecond,
-			JobTimeout:   2 * time.Minute,
-		}, sched)
-		if err != nil {
-			return err
-		}
-		accepted, deduped, rejected, unavail, errCount := res.Counts()
-		sr := loadgen.Gate(shape, p.requests, res.LatencyHist(),
-			accepted, deduped, rejected, errCount, slos[shape])
-		sr.Failovers = res.FailoverCount()
-		rep.Shapes = append(rep.Shapes, sr)
-		for _, v := range res.Violations() {
-			check(false, "%s: %s", shape, v)
-		}
-		log.Printf("live %-14s p50=%6.1fms p99=%6.1fms accepted=%d deduped=%d 429=%d 503=%d errors=%d failovers=%d pass=%v",
-			shape, float64(sr.P50NS)/1e6, float64(sr.P99NS)/1e6,
-			accepted, deduped, rejected, unavail, errCount, sr.Failovers, sr.Pass)
-
-		switch shape {
-		case loadgen.ShapeBurst:
-			// The burst shape against the small self-hosted ring must
-			// provoke real backpressure; each observed 429 already had its
-			// Retry-After validated by the runner.
-			check(rejected > 0, "burst provoked %d 429 responses with valid Retry-After", rejected)
-		case loadgen.ShapeDedupHostile:
-			check(deduped > 0, "dedup-hostile observed %d singleflight (200 deduped) answers", deduped)
-		}
-	}
-
-	if faults != nil {
-		check2, err := degradedContract(base, faults)
-		if err != nil {
-			return err
-		}
-		for _, c := range check2 {
-			rep.ContractChecks = append(rep.ContractChecks, c)
-		}
-	}
-
-	rep.Finalize()
-	if p.out != "" {
-		if err := rep.WriteFile(p.out); err != nil {
-			return err
-		}
-		log.Printf("live: wrote %s (pass=%v)", p.out, rep.Pass)
-	}
-	for _, c := range rep.ContractChecks {
-		log.Printf("live contract %s", c)
-	}
-	if !rep.Pass {
-		return errGate
-	}
-	return nil
-}
-
-// liveSpanNS spreads each live shape's arrivals over a few seconds: long
-// enough for bursts to be bursts, short enough for CI.
-const liveSpanNS = 3e9
-
-// liveSpec renders the POST /runs body for one scheduled request: a real
-// fft measurement at test scale. Requests sharing a SpecKey share a seed,
-// which is exactly what makes them dedupable by the daemon. Each shape
-// gets its own seed range so shapes can never dedup into each other even
-// if runs overlapped.
-func liveSpec(shape string) func(loadgen.Request) []byte {
-	bias := int64(0)
-	for i, s := range loadgen.Shapes {
-		if s == shape {
-			bias = int64(i+1) * 1_000_000
-		}
-	}
-	return func(req loadgen.Request) []byte {
-		return []byte(fmt.Sprintf(
-			`{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","reps":1,"seed":%d}`,
-			bias+req.Seed))
-	}
-}
-
-// liveSLOs are deliberately loose: the live leg gates on the contract and
-// on gross regressions (a test-scale fft job taking >30s at p50), not on
-// machine-dependent latency.
-func liveSLOs() map[string]loadgen.SLO {
-	loose := loadgen.SLO{P50MaxNS: 30e9, P99MaxNS: 90e9, ErrorBudget: 0.10}
-	return map[string]loadgen.SLO{
-		loadgen.ShapeSteady:       loose,
-		loadgen.ShapeBurst:        loose,
-		loadgen.ShapeDiurnal:      loose,
-		loadgen.ShapeDedupHostile: loose,
-	}
-}
-
-// selfHost starts a loopback splash4d over a temp store with fault hooks.
-func selfHost(workers, queueCap int) (base string, faults *resultstore.Faults, cleanup func(), err error) {
-	dir, err := os.MkdirTemp("", "splash4-loadgen-*")
-	if err != nil {
-		return "", nil, nil, err
-	}
-	faults = &resultstore.Faults{}
-	store, err := resultstore.OpenWithOptions(filepath.Join(dir, "results.jsonl"),
-		resultstore.Options{Sync: resultstore.SyncAlways, Faults: faults})
-	if err != nil {
-		os.RemoveAll(dir)
-		return "", nil, nil, err
-	}
-	srv, err := server.New(server.Config{Store: store, Workers: workers, QueueCapacity: queueCap})
-	if err != nil {
-		store.Close()
-		os.RemoveAll(dir)
-		return "", nil, nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		store.Close()
-		os.RemoveAll(dir)
-		return "", nil, nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	base = "http://" + ln.Addr().String()
-	log.Printf("live: self-hosted splash4d at %s (workers=%d queue=%d)", base, workers, queueCap)
-	cleanup = func() {
-		hs.Close()
-		srv.Close()
-		store.Close()
-		os.RemoveAll(dir)
-	}
-	return base, faults, cleanup, nil
-}
-
-// degradedContract verifies the PR-5 failure semantics end to end: with
-// the journal write path failing, the daemon must flip to degraded mode
-// and answer submissions 503 + Retry-After while still serving reads;
-// clearing the fault must let the readiness probe recover it.
-func degradedContract(base string, faults *resultstore.Faults) ([]string, error) {
-	var checks []string
-	check := func(ok bool, format string, args ...any) bool {
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
-		}
-		checks = append(checks, fmt.Sprintf("%s: %s", verdict, fmt.Sprintf(format, args...)))
-		return ok
-	}
-
-	injected := errors.New("loadgen: injected journal fault")
-	faults.FailWrites(injected)
-	faults.FailSync(injected)
-
-	// Submissions keep succeeding until a job's append fails and flips the
-	// daemon; poll with identical specs (they dedup) until the 503 shows.
-	spec := `{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","reps":1,"seed":990001}`
-	deadline := time.Now().Add(30 * time.Second)
-	var got503 bool
-	var retryAfter string
-	for time.Now().Before(deadline) {
-		resp, err := http.Post(base+"/runs", "application/json", strings.NewReader(spec))
-		if err != nil {
-			return nil, err
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			got503 = true
-			retryAfter = resp.Header.Get("Retry-After")
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	check(got503, "journal fault produced a degraded 503")
-	if got503 {
-		secs, err := strconv.Atoi(retryAfter)
-		check(err == nil && secs >= 1 && secs <= 30,
-			"degraded 503 carried Retry-After %q within [1,30]", retryAfter)
-	}
-	// Reads stay available while degraded.
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	resp.Body.Close()
-	check(resp.StatusCode == http.StatusOK, "reads (healthz) stay 200 while degraded")
-
-	// Clear the fault; the readiness probe must recover the daemon.
-	faults.FailWrites(nil)
-	faults.FailSync(nil)
-	var ready bool
-	deadline = time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/readyz")
-		if err != nil {
-			return nil, err
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			ready = true
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	check(ready, "daemon recovered to ready after the fault cleared")
-	return checks, nil
 }

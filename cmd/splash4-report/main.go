@@ -32,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := parseScale(*scale)
+	sc, err := splash4.ParseScale(*scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -83,21 +83,6 @@ func main() {
 	}
 	if err := fn(cfg); err != nil {
 		fatal(err)
-	}
-}
-
-func parseScale(s string) (splash4.Scale, error) {
-	switch s {
-	case "test":
-		return splash4.ScaleTest, nil
-	case "small":
-		return splash4.ScaleSmall, nil
-	case "default":
-		return splash4.ScaleDefault, nil
-	case "large":
-		return splash4.ScaleLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (test, small, default, large)", s)
 	}
 }
 

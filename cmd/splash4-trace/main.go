@@ -9,13 +9,15 @@
 // instrumentation counters, and replays the capture through the dessim
 // machine model. The process exits non-zero if the export fails validation
 // or the trace census disagrees with sync4.Instrument — the tracer's two
-// correctness gates, also exercised by `make trace-smoke`.
+// correctness gates; main_test.go runs both on a real capture.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,21 +33,34 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) { // -h already printed the usage
+		fmt.Fprintln(os.Stderr, "splash4-trace:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, trace one run, apply both gates,
+// write the trace file and print the tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("splash4-trace", flag.ContinueOnError)
 	var (
-		workload = flag.String("workload", "fft", "benchmark to trace")
-		kitName  = flag.String("kit", "lockfree", "synchronization kit: classic or lockfree")
-		threads  = flag.Int("threads", 4, "worker threads")
-		scale    = flag.String("scale", "test", "input scale: test, small, default, large")
-		seed     = flag.Int64("seed", 1, "input generation seed")
-		capacity = flag.Int("capacity", 1<<18, "per-thread event buffer capacity")
-		out      = flag.String("out", "", "trace JSON path (default <workload>-<kit>.trace.json)")
-		replay   = flag.Bool("replay", true, "replay the capture through the dessim machine model")
+		workload = fs.String("workload", "fft", "benchmark to trace")
+		kitName  = fs.String("kit", "lockfree", "synchronization kit: classic or lockfree")
+		threads  = fs.Int("threads", 4, "worker threads")
+		scale    = fs.String("scale", "test", "input scale: test, small, default, large")
+		seed     = fs.Int64("seed", 1, "input generation seed")
+		capacity = fs.Int("capacity", 1<<18, "per-thread event buffer capacity")
+		out      = fs.String("out", "", "trace JSON path (default <workload>-<kit>.trace.json)")
+		replay   = fs.Bool("replay", true, "replay the capture through the dessim machine model")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	bench, err := all.ByName(*workload)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var kit sync4.Kit
 	switch *kitName {
@@ -54,11 +69,11 @@ func main() {
 	case "lockfree":
 		kit = lockfree.New()
 	default:
-		fatal(fmt.Errorf("unknown kit %q (want classic or lockfree)", *kitName))
+		return fmt.Errorf("unknown kit %q (want classic or lockfree)", *kitName)
 	}
-	sc, err := parseScale(*scale)
+	sc, err := core.ParseScale(*scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	rec := trace.NewRecorder(2**threads, *capacity)
@@ -66,117 +81,67 @@ func main() {
 		Threads: *threads, Kit: kit, Scale: sc, Seed: *seed,
 	}, harness.Options{Reps: 1, Verify: true, Instrument: true, Trace: rec, SampleRuntime: true})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	c := res.Trace
 	label := fmt.Sprintf("%s/%s t=%d %s", res.Bench, res.Kit, res.Threads, res.Scale)
 
-	fmt.Printf("%s: wall=%v events=%d lanes=%d\n",
+	fmt.Fprintf(stdout, "%s: wall=%v events=%d lanes=%d\n",
 		label, res.Times.Mean().Round(time.Microsecond), c.Events(), len(c.Lanes))
 	if d := c.TotalDropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "warning: dropped %d events (lane capacity %d); raise -capacity\n",
 			d, *capacity)
 	}
 	if res.Runtime != nil {
-		fmt.Printf("runtime during region: %s\n", res.Runtime)
+		fmt.Fprintf(stdout, "runtime during region: %s\n", res.Runtime)
 	}
 
 	// Gate 1: the trace census must agree with the instrumentation census.
-	if err := crossCheck(c, res.Sync); err != nil {
-		fatal(fmt.Errorf("trace census disagrees with sync4.Instrument: %w", err))
+	if err := sync4.CheckTraceCensus(c, res.Sync); err != nil {
+		return fmt.Errorf("trace census disagrees with sync4.Instrument: %w", err)
 	}
 
 	// Gate 2: the Chrome export must pass its own validator.
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf, c, label); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := trace.ValidateChrome(buf.Bytes()); err != nil {
-		fatal(fmt.Errorf("exported trace fails validation: %w", err))
+		return fmt.Errorf("exported trace fails validation: %w", err)
 	}
 	path := *out
 	if path == "" {
 		path = fmt.Sprintf("%s-%s.trace.json", res.Bench, res.Kit)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s (%d bytes, load in Perfetto or chrome://tracing)\n", path, buf.Len())
+	fmt.Fprintf(stdout, "wrote %s (%d bytes, load in Perfetto or chrome://tracing)\n", path, buf.Len())
 
-	if err := trace.TimelineTable(c, label).Render(os.Stdout); err != nil {
-		fatal(err)
+	if err := trace.TimelineTable(c, label).Render(stdout); err != nil {
+		return err
 	}
-	if err := trace.BlockedTable(c, label).Render(os.Stdout); err != nil {
-		fatal(err)
+	if err := trace.BlockedTable(c, label).Render(stdout); err != nil {
+		return err
 	}
 
 	if *replay {
 		if c.TotalDropped() > 0 {
 			fmt.Fprintln(os.Stderr, "skipping replay: lossy captures are not structurally replayable")
-			return
+			return nil
 		}
 		tr, err := dessim.FromCapture(c)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sim, err := dessim.Simulate(tr, perfmodel.IceLakeLike(), *kitName)
 		if err != nil {
-			fatal(fmt.Errorf("replay: %w", err))
+			return fmt.Errorf("replay: %w", err)
 		}
-		fmt.Printf("\ndessim replay (IceLake-like): makespan=%v sync=%v compute=%v\n",
+		fmt.Fprintf(stdout, "\ndessim replay (IceLake-like): makespan=%v sync=%v compute=%v\n",
 			sim.Makespan.Round(time.Microsecond),
 			sim.SyncTime.Round(time.Microsecond),
 			sim.ComputeTime.Round(time.Microsecond))
 	}
-}
-
-// crossCheck compares per-construct event counts between the capture and
-// the instrumentation census. Lock releases are traced but not censused, so
-// they are not compared.
-func crossCheck(c *trace.Capture, s sync4.Snapshot) error {
-	got := c.OpCounts()
-	pairs := []struct {
-		name         string
-		trace, instr int64
-	}{
-		{"barrier-wait", got[trace.OpBarrierWait], s.BarrierWaits},
-		{"lock-acquire", got[trace.OpLockAcquire], s.LockAcquires},
-		{"rmw", got[trace.OpRMW], s.RMWOps()},
-		{"flag-set", got[trace.OpFlagSet], s.FlagSets},
-		{"flag-wait", got[trace.OpFlagWait], s.FlagWaits},
-		{"queue-put", got[trace.OpQueuePut], s.QueuePuts},
-		{"queue-get", got[trace.OpQueueGet], s.QueueGets},
-		{"stack-push", got[trace.OpStackPush], s.StackPushes},
-		{"stack-pop", got[trace.OpStackPop], s.StackPops},
-	}
-	// A lossy capture legitimately undercounts; only exact captures gate.
-	if c.TotalDropped() > 0 {
-		return nil
-	}
-	for _, p := range pairs {
-		if p.trace != p.instr {
-			return fmt.Errorf("%s: trace %d, census %d", p.name, p.trace, p.instr)
-		}
-	}
 	return nil
-}
-
-func parseScale(s string) (core.Scale, error) {
-	switch s {
-	case "test":
-		return core.ScaleTest, nil
-	case "small":
-		return core.ScaleSmall, nil
-	case "default":
-		return core.ScaleDefault, nil
-	case "large":
-		return core.ScaleLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want test, small, default or large)", s)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "splash4-trace:", err)
-	os.Exit(1)
 }

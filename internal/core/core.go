@@ -46,6 +46,16 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale is the inverse of Scale.String for the four named scales.
+func ParseScale(s string) (Scale, error) {
+	for sc := ScaleTest; sc <= ScaleLarge; sc++ {
+		if s == sc.String() {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want test, small, default or large)", s)
+}
+
 // Config carries everything a workload needs to set itself up. The same
 // Config is used for a classic and a lockfree run; only Kit differs.
 type Config struct {

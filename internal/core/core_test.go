@@ -120,6 +120,19 @@ func TestScaleString(t *testing.T) {
 	}
 }
 
+func TestParseScaleRoundTrip(t *testing.T) {
+	for _, s := range []core.Scale{core.ScaleTest, core.ScaleSmall, core.ScaleDefault, core.ScaleLarge} {
+		if got, err := core.ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "Test", "galactic", "Scale(99)", " small"} {
+		if got, err := core.ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
 func TestSetWorkerHook(t *testing.T) {
 	defer core.SetWorkerHook(nil)
 

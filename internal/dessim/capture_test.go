@@ -122,27 +122,9 @@ func TestCapturedRunRoundTrip(t *testing.T) {
 				}
 
 				// Trace census == instrument census, per construct.
-				got := res.Trace.OpCounts()
 				s := res.Sync
-				pairs := []struct {
-					name  string
-					trace int64
-					instr int64
-				}{
-					{"barrier-wait", got[trace.OpBarrierWait], s.BarrierWaits},
-					{"lock-acquire", got[trace.OpLockAcquire], s.LockAcquires},
-					{"rmw", got[trace.OpRMW], s.RMWOps()},
-					{"flag-set", got[trace.OpFlagSet], s.FlagSets},
-					{"flag-wait", got[trace.OpFlagWait], s.FlagWaits},
-					{"queue-put", got[trace.OpQueuePut], s.QueuePuts},
-					{"queue-get", got[trace.OpQueueGet], s.QueueGets},
-					{"stack-push", got[trace.OpStackPush], s.StackPushes},
-					{"stack-pop", got[trace.OpStackPop], s.StackPops},
-				}
-				for _, p := range pairs {
-					if p.trace != p.instr {
-						t.Errorf("%s: trace %d, census %d", p.name, p.trace, p.instr)
-					}
+				if err := sync4.CheckTraceCensus(res.Trace, s); err != nil {
+					t.Error(err)
 				}
 				if s.BarrierWaits == 0 {
 					t.Error("census saw no barriers; workload not exercising the kit?")

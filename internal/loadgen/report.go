@@ -16,9 +16,9 @@ type SLO struct {
 	ErrorBudget float64 `json:"error_budget"`
 }
 
-// ShapeReport is one shape's measured outcome plus its verdict. All
-// fields are derived from the schedule and the model (or the live run) —
-// no wall-clock timestamps, so a pinned-seed sim report is byte-stable.
+// ShapeReport is one shape's modeled outcome plus its verdict. All fields
+// are derived from the schedule and the model — no wall-clock timestamps,
+// so a pinned-seed report is byte-stable.
 type ShapeReport struct {
 	Shape    string `json:"shape"`
 	Requests int    `json:"requests"`
@@ -28,10 +28,6 @@ type ShapeReport struct {
 	// got in is counted here and in Accepted.
 	Rejected429 int `json:"rejected_429"`
 	Errors      int `json:"errors"`
-	// Failovers counts live submission attempts abandoned to the next
-	// target after a connection error or non-contract 5xx (always zero in
-	// sim mode, which models a single healthy daemon).
-	Failovers int `json:"failovers,omitempty"`
 
 	P50NS  int64   `json:"p50_ns"`
 	P99NS  int64   `json:"p99_ns"`
@@ -48,9 +44,9 @@ type ShapeReport struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// Report is the full traffic-gate artifact (BENCH_traffic.json).
+// Report is the full traffic-lab artifact (BENCH_traffic.json).
 type Report struct {
-	Mode     string `json:"mode"` // "sim" or "live"
+	Mode     string `json:"mode"` // "sim": modeled, not measured
 	Seed     uint64 `json:"seed"`
 	Workers  int    `json:"workers"`
 	QueueCap int    `json:"queue_cap"`
@@ -59,11 +55,7 @@ type Report struct {
 	SpanNS   int64 `json:"span_ns"`
 
 	Shapes []ShapeReport `json:"shapes"`
-	// ContractChecks records the live-mode retry-contract verifications
-	// (empty in sim mode, where the model enforces the contract by
-	// construction).
-	ContractChecks []string `json:"contract_checks,omitempty"`
-	Pass           bool     `json:"pass"`
+	Pass   bool          `json:"pass"`
 }
 
 // Gate scores one shape's measurements against its SLO and returns the
@@ -105,17 +97,11 @@ func Gate(shape string, requests int, lat *stats.Histogram,
 	return rep
 }
 
-// Finalize sets the report's overall verdict: every shape passed and no
-// contract check failed.
+// Finalize sets the report's overall verdict: every shape passed.
 func (r *Report) Finalize() {
 	r.Pass = true
 	for _, s := range r.Shapes {
 		if !s.Pass {
-			r.Pass = false
-		}
-	}
-	for _, c := range r.ContractChecks {
-		if len(c) >= 4 && c[:4] == "FAIL" {
 			r.Pass = false
 		}
 	}
@@ -143,7 +129,7 @@ func (r *Report) WriteFile(path string) error {
 // SimSLOs returns the pinned thresholds for the deterministic model run.
 // They are set with ~2× headroom over the pinned-seed measurements so the
 // gate trips on regressions in the model or scheduler, not on noise —
-// there is no noise in sim mode.
+// the model has none.
 func SimSLOs(cfg SimConfig) map[string]SLO {
 	svc := cfg.ServiceNS
 	return map[string]SLO{

@@ -1,12 +1,13 @@
 // Package loadgen is the splash4d traffic lab: seeded, replayable load
 // schedules in four shapes (steady, burst, diurnal, dedup-hostile), a
 // deterministic virtual-clock simulator of the daemon's admission pipeline,
-// a live open/closed-loop HTTP runner that verifies the retry contract
-// end to end, and an SLO gate that turns latency percentiles and error
-// budgets into a CI verdict (BENCH_traffic.json).
+// and an SLO gate that turns latency percentiles and error budgets into a
+// verdict (BENCH_traffic.json).
 //
-// The same seed always produces the same schedule, and in sim mode the
-// same report bytes — the gate artifact is diffable across runs.
+// The same seed always produces the same schedule and the same report
+// bytes — the artifact is diffable across runs. The schedules also drive
+// the real daemon: internal/server's retry-contract test replays the burst
+// and dedup-hostile shapes against a Server over HTTP.
 package loadgen
 
 import (
@@ -30,8 +31,7 @@ var Shapes = []string{ShapeSteady, ShapeBurst, ShapeDiurnal, ShapeDedupHostile}
 
 // Request is one scheduled submission.
 type Request struct {
-	// AtNS is the arrival offset from the run start, in virtual (sim) or
-	// real (live) nanoseconds.
+	// AtNS is the arrival offset from the run start, in nanoseconds.
 	AtNS int64
 	// SpecKey identifies the job spec for dedup purposes: requests sharing
 	// a key are identical submissions the daemon may singleflight.

@@ -213,10 +213,10 @@ func TestReportByteStable(t *testing.T) {
 	}
 }
 
-func TestFinalizeFailsOnContractCheck(t *testing.T) {
-	rep := &Report{ContractChecks: []string{"ok: 429 carried Retry-After", "FAIL: missing Retry-After"}}
+func TestFinalizeFailsOnFailedShape(t *testing.T) {
+	rep := &Report{Shapes: []ShapeReport{{Shape: ShapeSteady, Pass: true}, {Shape: ShapeBurst}}}
 	rep.Finalize()
 	if rep.Pass {
-		t.Error("report passed despite a failed contract check")
+		t.Error("report passed despite a failed shape")
 	}
 }

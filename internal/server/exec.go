@@ -68,7 +68,7 @@ func (s *Server) executeSpec(ctx context.Context, sp Spec, obs execObserver) (ex
 	if err != nil {
 		return out, err
 	}
-	sc, err := sp.scale()
+	sc, err := core.ParseScale(sp.Scale)
 	if err != nil {
 		return out, err
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -96,8 +95,8 @@ func TestDegradedModeServesReadsAndRecovers(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("POST while degraded = %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("degraded 503 without Retry-After")
+	if _, err := retryAfter(resp); err != nil {
+		t.Fatalf("degraded %v", err)
 	}
 
 	// …reads keep working…
@@ -289,13 +288,13 @@ func TestAdaptiveRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("POST over full ring = %d, want 429", resp.StatusCode)
 	}
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	secs, err := retryAfter(resp)
 	if err != nil {
-		t.Fatalf("Retry-After %q is not an integer", resp.Header.Get("Retry-After"))
+		t.Fatal(err)
 	}
 	// Backlog is 3 (1 running + 2 queued) over 1 worker: the hint must
 	// reflect it, not the old constant 1.
-	if secs < 2 || secs > 30 {
+	if secs < 2 {
 		t.Fatalf("Retry-After = %d, want a backlog-scaled value in [2, 30]", secs)
 	}
 	close(gate)

@@ -50,22 +50,6 @@ func (sp Spec) kit() (sync4.Kit, error) {
 	}
 }
 
-// scale resolves the spec's scale name.
-func (sp Spec) scale() (core.Scale, error) {
-	switch sp.Scale {
-	case "test":
-		return core.ScaleTest, nil
-	case "small":
-		return core.ScaleSmall, nil
-	case "default":
-		return core.ScaleDefault, nil
-	case "large":
-		return core.ScaleLarge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want test, small, default or large)", sp.Scale)
-	}
-}
-
 // State is a job's lifecycle position.
 type State int32
 
@@ -205,7 +189,7 @@ func (s *Server) validateSpec(sp *Spec) error {
 	if sp.Scale == "" {
 		sp.Scale = "test"
 	}
-	if _, err := sp.scale(); err != nil {
+	if _, err := core.ParseScale(sp.Scale); err != nil {
 		return err
 	}
 	if sp.Threads <= 0 {

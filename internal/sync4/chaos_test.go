@@ -26,10 +26,11 @@ func TestFaultConformanceLockfree(t *testing.T) {
 	kittest.FaultConformance(t, lockfree.New(), chaosSeed)
 }
 
-// TestFaultyUnderInstrument checks the decoration order the chaos gate
-// relies on: Instrument outside, faulty inside. The census counts the
-// workload's calls, not the injector's internals, so a clean run and a
-// faulted run of the same call sequence must produce identical censuses.
+// TestFaultyUnderInstrument checks the decoration order the whole-suite
+// fault-injection test relies on: Instrument outside, faulty inside. The
+// census counts the workload's calls, not the injector's internals, so a
+// clean run and a faulted run of the same call sequence must produce
+// identical censuses.
 func TestFaultyUnderInstrument(t *testing.T) {
 	census := func(wrap func(sync4.Kit) sync4.Kit) sync4.Snapshot {
 		var c sync4.Counters

@@ -24,14 +24,15 @@
 // where a site identifies one construct and operation. Decisions therefore
 // do not depend on cross-thread interleaving: the same seed injects the
 // same fault on the n-th Put to a given queue in every run, which is what
-// makes `-chaos-seed` sufficient to reproduce a failure. The injector
+// makes the seed sufficient to reproduce a failure. The injector
 // counts every injection per class and can record the first decisions
 // verbatim (Plan.Record) for post-mortem diagnosis.
 //
 // Contract preservation: delay, straggler and spurious-wake faults are
 // semantics-preserving — wrapped constructs still satisfy the full
-// sync4.Kit contract, so whole workloads run unmodified under them (the
-// `make chaos` gate asserts their results are identical to clean runs).
+// sync4.Kit contract, so whole workloads run unmodified under them
+// (workloads/all's TestSuiteCensusSurvivesFaultInjection asserts their
+// results are identical to clean runs).
 // Flap faults weaken the Try* contract to "may transiently fail, at most
 // FlapBurst times in a row per site"; they are exercised by the
 // construct-level kittest fault schedules, whose callers retry, and are

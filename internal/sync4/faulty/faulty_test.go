@@ -11,7 +11,7 @@ import (
 // TestDeterministicSchedule: two injectors with the same plan must make
 // identical decisions for the same per-site operation sequence, and a
 // different seed must produce a different schedule. This is the property
-// `-chaos-seed` reproduction rests on.
+// reproducing a failure from its seed rests on.
 func TestDeterministicSchedule(t *testing.T) {
 	run := func(seed int64) []Decision {
 		inj := New(Plan{Seed: seed, Delay: 0.2, SpuriousWake: 0.5, Flap: 0.3, Record: 4096})

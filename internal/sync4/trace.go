@@ -1,6 +1,10 @@
 package sync4
 
-import "repro/internal/trace"
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
 
 // Trace wraps kit so every synchronization operation is recorded as a typed
 // event in r: which object, which operation, and the monotonic [start, end]
@@ -22,6 +26,36 @@ func Trace(kit Kit, r *trace.Recorder) Kit {
 		return kit
 	}
 	return &tracedKit{base: kit, r: r}
+}
+
+// CheckTraceCensus compares a capture's per-operation event counts with an
+// Instrument census of the same run and returns the first disagreement.
+// Lock releases are traced but not censused, so they are not compared. A
+// lossy capture legitimately undercounts and is never an error.
+func CheckTraceCensus(c *trace.Capture, s Snapshot) error {
+	if c.TotalDropped() > 0 {
+		return nil
+	}
+	got := c.OpCounts()
+	for _, p := range []struct {
+		op     trace.Op
+		census int64
+	}{
+		{trace.OpBarrierWait, s.BarrierWaits},
+		{trace.OpLockAcquire, s.LockAcquires},
+		{trace.OpRMW, s.RMWOps()},
+		{trace.OpFlagSet, s.FlagSets},
+		{trace.OpFlagWait, s.FlagWaits},
+		{trace.OpQueuePut, s.QueuePuts},
+		{trace.OpQueueGet, s.QueueGets},
+		{trace.OpStackPush, s.StackPushes},
+		{trace.OpStackPop, s.StackPops},
+	} {
+		if got[p.op] != p.census {
+			return fmt.Errorf("%s: trace %d, census %d", p.op, got[p.op], p.census)
+		}
+	}
+	return nil
 }
 
 type tracedKit struct {

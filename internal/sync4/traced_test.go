@@ -95,31 +95,13 @@ func TestTracedCensusMatchesInstrument(t *testing.T) {
 	if cap.TotalDropped() != 0 {
 		t.Fatalf("dropped %d events", cap.TotalDropped())
 	}
-	got := cap.OpCounts()
 	snap := c.Snapshot()
-	checks := []struct {
-		name  string
-		trace int64
-		instr int64
-	}{
-		{"barrier-wait", got[trace.OpBarrierWait], snap.BarrierWaits},
-		{"lock-acquire", got[trace.OpLockAcquire], snap.LockAcquires},
-		{"rmw", got[trace.OpRMW], snap.RMWOps()},
-		{"flag-set", got[trace.OpFlagSet], snap.FlagSets},
-		{"flag-wait", got[trace.OpFlagWait], snap.FlagWaits},
-		{"queue-put", got[trace.OpQueuePut], snap.QueuePuts},
-		{"queue-get", got[trace.OpQueueGet], snap.QueueGets},
-		{"stack-push", got[trace.OpStackPush], snap.StackPushes},
-		{"stack-pop", got[trace.OpStackPop], snap.StackPops},
-	}
-	for _, ck := range checks {
-		if ck.trace != ck.instr {
-			t.Errorf("%s: trace counted %d, census %d", ck.name, ck.trace, ck.instr)
-		}
+	if err := sync4.CheckTraceCensus(cap, snap); err != nil {
+		t.Error(err)
 	}
 	// Releases are traced even though the census has no counter for them.
-	if got[trace.OpLockRelease] != 1 {
-		t.Errorf("lock-release count = %d, want 1", got[trace.OpLockRelease])
+	if n := cap.OpCounts()[trace.OpLockRelease]; n != 1 {
+		t.Errorf("lock-release count = %d, want 1", n)
 	}
 	// Sanity-floor the absolute numbers so a silently dead census cannot
 	// make the comparison pass vacuously.

@@ -106,7 +106,7 @@ func objFamily(objects []Object, id uint32) string {
 // ValidateChrome parses data as trace-event JSON and checks the structural
 // invariants the exporter guarantees: a traceEvents array, every event named
 // with a known phase, complete events with non-negative microsecond ts/dur.
-// The trace-smoke target and the CLI self-check run this on fresh exports.
+// splash4-trace runs this on every export before writing it.
 func ValidateChrome(data []byte) error {
 	var f struct {
 		TraceEvents []struct {

@@ -58,6 +58,9 @@ const (
 	ScaleLarge   = core.ScaleLarge
 )
 
+// ParseScale resolves a scale name (test, small, default, large).
+func ParseScale(s string) (Scale, error) { return core.ParseScale(s) }
+
 // Kit is the synchronization toolkit abstraction; see sync4.Kit.
 type Kit = sync4.Kit
 
