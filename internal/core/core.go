@@ -64,7 +64,7 @@ type Config struct {
 	Threads int
 	// Kit supplies every synchronization construct the workload uses.
 	Kit sync4.Kit
-	// Scale selects the input size.
+	// Scale selects the input size. Must be one of the four named scales.
 	Scale Scale
 	// Seed makes input generation deterministic. Two Prepare calls with
 	// equal Config produce identical inputs regardless of Kit, so
@@ -79,6 +79,9 @@ func (c Config) Validate() error {
 	}
 	if c.Kit == nil {
 		return fmt.Errorf("core: config needs a non-nil Kit")
+	}
+	if c.Scale < ScaleTest || c.Scale > ScaleLarge {
+		return fmt.Errorf("core: config needs a Scale from test to large, got %v", c.Scale)
 	}
 	return nil
 }

@@ -97,6 +97,8 @@ func TestConfigValidate(t *testing.T) {
 		{core.Config{Threads: 0, Kit: kit}, false, "zero threads"},
 		{core.Config{Threads: -3, Kit: kit}, false, "negative threads"},
 		{core.Config{Threads: 4}, false, "nil kit"},
+		{core.Config{Threads: 1, Kit: kit, Scale: core.ScaleLarge + 1}, false, "scale past large"},
+		{core.Config{Threads: 1, Kit: kit, Scale: -1}, false, "negative scale"},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {
