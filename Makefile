@@ -5,7 +5,8 @@
 #                     every end-to-end check: daemon, cluster, fault
 #                     injection, retry contract, tracer), allocs gate
 #   make race         tier-2 gate: the whole suite under the Go race detector,
-#                     then the event-order stress test 20 more times
+#                     then the scheduling-dependent tests again: event order
+#                     x20, the ship loop's drain/heal/pacing/stop tests x10
 #   make vet          just the concurrency-invariant analyzers (splash4-vet)
 #   make allocs-gate  re-measure every //sync4:zeroalloc annotation with
 #                     testing.AllocsPerRun (uncached)
@@ -42,10 +43,13 @@ allocs-gate:
 
 # The event-order test's window is scheduling-dependent (a submitter losing
 # the CPU between publishing a job and announcing it), so one pass proves
-# little: race repeats it 20 times on top of the suite's single run.
+# little: race repeats it 20 times on top of the suite's single run. The
+# ship loop's drain and stop tests race a wake, a cancel and a repair pass
+# against fetches in flight, so they get 10 more passes for the same reason.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
+	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain)' ./internal/cluster/
 
 test:
 	$(GO) test ./...

@@ -56,9 +56,11 @@ type Config struct {
 	Server *server.Server
 	// HealthInterval paces peer health probes. Default 500ms.
 	HealthInterval time.Duration
-	// ShipInterval paces journal tailing per peer. Default 250ms.
+	// ShipInterval is the idle poll period of each peer's journal tail, i.e.
+	// the worst-case staleness of a caught-up replica; a backlog never waits
+	// for it. Default 250ms.
 	ShipInterval time.Duration
-	// StealInterval paces the idle check of the work stealer. Default 250ms.
+	// StealInterval paces the work stealer's idle check only. Default 250ms.
 	StealInterval time.Duration
 	// StealBatch caps jobs taken per steal request. Default 2.
 	StealBatch int
@@ -98,9 +100,6 @@ type Config struct {
 	HedgeAfter time.Duration
 	// RepairInterval paces the anti-entropy repair pass. Default 2s.
 	RepairInterval time.Duration
-	// RepairBurst caps journal chunks one repair pass pulls per peer while
-	// draining a backlog. Default 64.
-	RepairBurst int
 	// Logf, when set, receives cluster lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -166,9 +165,6 @@ func (c *Config) fill() error {
 	if c.RepairInterval <= 0 {
 		c.RepairInterval = 2 * time.Second
 	}
-	if c.RepairBurst <= 0 {
-		c.RepairBurst = 64
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -223,6 +219,7 @@ type peer struct {
 	// repair pass's reset-and-refetch, so two pullers never ingest the
 	// same bytes twice.
 	syncMu sync.Mutex
+	wake   chan struct{} // one slot: starts a ship round ahead of the tick (wakeShip)
 
 	// tail buffers a torn trailing line between ship rounds; guarded by
 	// tailMu, which nests inside syncMu on the fetch path.
@@ -301,7 +298,7 @@ func New(cfg Config) (*Cluster, error) {
 	nodes := []string{cfg.Self}
 	for id, base := range cfg.Peers {
 		c.peers[id] = &peer{
-			id: id, base: base, replica: resultstore.NewIndex(),
+			id: id, base: base, replica: resultstore.NewIndex(), wake: make(chan struct{}, 1),
 			brk:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
 			budget: newRetryBudget(cfg.RetryBudget, cfg.RetryBudgetRefill),
 		}
@@ -357,15 +354,18 @@ func (c *Cluster) Kill() {
 }
 
 // sleep waits d or until Stop, reporting false on Stop.
-func (c *Cluster) sleep(d time.Duration) bool {
+func (c *Cluster) sleep(d time.Duration) bool { return c.sleepOrWake(d, nil) }
+
+// sleepOrWake is sleep that a signal on wake cuts short (nil never does).
+func (c *Cluster) sleepOrWake(d time.Duration, wake <-chan struct{}) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-c.ctx.Done():
-		return false
 	case <-t.C:
-		return true
+	case <-wake:
 	}
+	return c.ctx.Err() == nil
 }
 
 // healthyNodes returns the node IDs currently routable: self plus every

@@ -205,7 +205,13 @@ func startTestCluster(t *testing.T, ids []string, tweak func(id string, scfg *se
 // waitFor polls cond until it holds, failing the test with msg after 10 s.
 func waitFor(t *testing.T, msg string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	waitWithin(t, 10*time.Second, msg, cond)
+}
+
+// waitWithin is waitFor with the caller's own deadline.
+func waitWithin(t *testing.T, d time.Duration, msg string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for !cond() {
 		if time.Now().After(deadline) {
 			t.Fatal(msg)
@@ -407,6 +413,47 @@ func TestClusterStealsFromBackloggedPeer(t *testing.T) {
 		if rec.Node != "a" {
 			t.Fatalf("record %s journaled with node %q, want a", id, rec.Node)
 		}
+	}
+}
+
+// TestStealerTakesBacklogWithoutWaitingForTicks queues a backlog behind the
+// victim's one wedged worker and gives the only thief a long idle interval
+// and a batch of two: pacing every round by the timer would need one tick
+// per two jobs, so the thief must ask again right after a round that landed
+// work, and still fall back to the timer once the victim is empty.
+func TestStealerTakesBacklogWithoutWaitingForTicks(t *testing.T) {
+	const (
+		tick   = 400 * time.Millisecond
+		batch  = 2
+		queued = 20
+	)
+	nodes := startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
+		ccfg.StealInterval, ccfg.StealBatch = tick, batch
+		if id == "a" {
+			scfg.Workers = 1
+			ccfg.StealInterval = time.Hour // a never steals; b is the only thief
+		}
+	})
+	a, b := nodes["a"], nodes["b"]
+	a.gate.arm()
+	ids := []string{submitTo(t, a.base, specBody("fft", "lockfree", 0), true)} // wedges a's worker
+	for seed := int64(1); seed <= queued; seed++ {
+		ids = append(ids, submitTo(t, a.base, specBody("fft", "lockfree", seed), true))
+	}
+	start := time.Now()
+	waitFor(t, "b never took a's whole backlog", func() bool { return b.cl.stolenTotal.Load() == queued })
+	if ticks := time.Since(start) / tick; ticks >= queued/batch/2 {
+		t.Fatalf("b needed %d steal ticks for %d jobs at %d per request: it is sleeping between rounds that took work",
+			ticks, queued, batch)
+	}
+	a.gate.release()
+	for _, id := range ids {
+		if v := jobView(t, a.base, id); v["status"] != "done" {
+			t.Fatalf("job %s finished %v, want done", id, v["status"])
+		}
+	}
+	if got := a.srv.StolenCount(); got != 0 {
+		t.Fatalf("%d jobs still out on loan after all completed", got)
 	}
 }
 

@@ -148,15 +148,20 @@ func (c *Cluster) handlePeerJournal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad offset")
 		return
 	}
-	buf := make([]byte, journalChunk)
-	n, durable, err := c.srv.Store().ReadJournal(buf, off)
+	// A caught-up poll (the steady state) allocates nothing; ReadJournal clamps.
+	store := c.srv.Store()
+	var buf []byte
+	if avail := store.DurableSize() - off; avail > 0 {
+		buf = make([]byte, min(journalChunk, avail))
+	}
+	n, durable, err := store.ReadJournal(buf, off)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reading journal: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(journalSizeHeader, strconv.FormatInt(durable, 10))
-	w.Header().Set(journalGenHeader, strconv.FormatUint(c.srv.Store().Generation(), 10))
+	w.Header().Set(journalGenHeader, strconv.FormatUint(store.Generation(), 10))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf[:n])
 }
@@ -165,7 +170,8 @@ func (c *Cluster) handlePeerJournal(w http.ResponseWriter, r *http.Request) {
 // every job donated to that peer immediately — waiting out the deadline
 // sweep would hold the victim's jobs hostage to a dead thief. A down→up
 // transition after the peer was ever up is a partition heal, counted for
-// the chaos schedule's convergence assertions.
+// the chaos schedule's convergence assertions; every down→up transition
+// wakes the peer's ship loop, so catching up starts now.
 func (c *Cluster) probeLoop(p *peer) {
 	defer c.wg.Done()
 	for {
@@ -189,6 +195,7 @@ func (c *Cluster) probeLoop(p *peer) {
 				c.cfg.Logf("cluster: reclaimed %d job(s) stolen by dead peer %s", n, p.id)
 			}
 		case !was && now:
+			p.wakeShip()
 			if p.everUp.Load() {
 				c.partitionHeals.v.Add(1)
 				c.cfg.Logf("cluster: peer %s healed", p.id)

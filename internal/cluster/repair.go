@@ -1,77 +1,51 @@
 package cluster
 
-// Anti-entropy journal repair. The ship loop is an optimistic tail: one
-// chunk per tick, ingested only while the origin's journal generation
-// matches the replica's. Two situations need more than optimism, and the
-// repair pass owns both:
+// Anti-entropy journal repair. The ship loop (ship.go) drains any backlog
+// — boot, rejoin, partition heal — by itself, but ingests only while the
+// origin's journal generation matches the replica's. After a generation
+// change (the origin restarted, truncated or replaced its journal) the
+// replica's records and byte offset describe a journal that no longer
+// exists, and old offsets may point into the middle of different bytes:
+// the repair pass drops the replica, rewinds to offset zero under the new
+// generation, refetches, and wakes the ship loop to drain the rest.
 //
-//   - Generation change: the origin reopened its journal (restart,
-//     truncation, replacement). The replica's records and byte offset
-//     describe a journal that no longer exists; repair drops the replica,
-//     rewinds to offset zero under the new generation, and refetches —
-//     the only convergent response, since old offsets may now point into
-//     the middle of different bytes.
-//
-//   - Backlog after a heal: a partition or latency storm leaves the
-//     replica many chunks behind. The ship loop would drain that at one
-//     chunk per ShipInterval; repair drains it in a bounded burst so
-//     /compare census identity returns promptly after the heal.
-//
-// Repair traffic is visible: splash4d_repair_bytes_total counts every
-// byte the pass pulled, splash4d_journal_resyncs_total every
-// generation-change resync.
+// Repair traffic is visible: splash4d_journal_resyncs_total counts the
+// resyncs, splash4d_repair_bytes_total the bytes of their first refetches.
 
 // repairLoop runs the periodic anti-entropy pass over every peer.
 //
-//sync4:req SYNC4-CLUS-003 v2 MUST After a partition heals or a peer reopens its journal under a new generation, the anti-entropy repair pass resynchronizes the replica (dropping it and refetching from offset zero on a generation change) so that every node's /compare census converges back to byte identity.
+//sync4:req SYNC4-CLUS-003 v3 MUST When a peer reopens its journal under a new generation, the anti-entropy repair pass drops the replica and resynchronizes it from offset zero; a backlog left by a healed partition is drained by the ship loop without waiting for ticks or for a repair pass. Either way every node's /compare census converges back to byte identity.
 func (c *Cluster) repairLoop() {
 	defer c.wg.Done()
-	for {
-		if !c.sleep(c.cfg.RepairInterval) {
-			return
-		}
-		for _, id := range c.order {
-			if id == c.cfg.Self {
-				continue
-			}
-			c.repairPeer(c.peers[id])
+	for c.sleep(c.cfg.RepairInterval) {
+		for _, p := range c.peers {
+			c.repairPeer(p)
 		}
 	}
 }
 
-// repairPeer reconciles one peer's replica: resync on generation change,
-// then burst-drain any remaining backlog.
+// repairPeer resyncs one peer's replica when its journal generation changed.
 func (c *Cluster) repairPeer(p *peer) {
-	if !p.up.Load() {
-		return
-	}
 	gen := p.gen.Load()
 	synced := p.syncedGen.Load()
-	if gen != 0 && synced != 0 && gen != synced {
-		// Hold syncMu across the reset and the first refetch so the ship
-		// loop cannot interleave a fetch between the rewind and the first
-		// chunk of the new generation.
-		p.syncMu.Lock()
-		p.replica.Reset()
-		p.offset.Store(0)
-		p.resetTail()
-		p.skipped.Store(0)
-		p.syncedGen.Store(gen)
-		c.resyncs.v.Add(1)
-		c.cfg.Logf("cluster: peer %s journal generation changed, resyncing replica from 0", p.id)
-		n, err := c.fetchJournalLocked(p)
-		p.syncMu.Unlock()
-		if err != nil {
-			return
-		}
+	if !p.up.Load() || gen == 0 || synced == 0 || gen == synced {
+		return
+	}
+	// Hold syncMu across the reset and the first refetch so the ship
+	// loop cannot interleave a fetch between the rewind and the first
+	// chunk of the new generation.
+	p.syncMu.Lock()
+	p.replica.Reset()
+	p.offset.Store(0)
+	p.resetTail()
+	p.skipped.Store(0)
+	p.syncedGen.Store(gen)
+	c.resyncs.v.Add(1)
+	c.cfg.Logf("cluster: peer %s journal generation changed, resyncing replica from 0", p.id)
+	n, err := c.fetchJournalLocked(p)
+	p.syncMu.Unlock()
+	if err == nil {
 		c.repairBytes.v.Add(int64(n))
 	}
-	// Drain backlog in a bounded burst.
-	for i := 0; i < c.cfg.RepairBurst && p.shipLag() > 0; i++ {
-		n, err := c.fetchJournal(p)
-		if err != nil || n == 0 {
-			return
-		}
-		c.repairBytes.v.Add(int64(n))
-	}
+	p.wakeShip()
 }

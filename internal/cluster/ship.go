@@ -32,35 +32,54 @@ import (
 // fragment from an origin write fault may glue onto the next good line
 // (skipped and counted, exactly as the origin's replay skips it — both
 // sides converge on the same record set).
+//
+// Pacing follows the work, not the clock. ShipInterval is only the idle
+// poll of a caught-up replica: the loop also starts on a wake (the prober
+// saw the peer come up, or repair rewound the replica), and while a fetch
+// ingests bytes and leaves lag it asks for the next chunk at once. Anything
+// that is not progress — caught up, an error, a generation mismatch, the
+// peer down — goes back to the timer, so a failing peer sees one journal
+// request per tick and call.go's breaker and budget arithmetic holds.
 
 // errGenerationChanged parks a fetch whose response named a different
 // journal generation than the replica was built from.
 var errGenerationChanged = errors.New("cluster: peer journal generation changed")
 
-// shipLoop tails one peer's journal.
+// shipLoop tails one peer's journal: wait for the tick or a wake, then
+// drain, each chunk under its own syncMu hold so a resync can interleave.
+//
+//sync4:req SYNC4-CLUS-006 v3 MUST A follower whose fetch ingested bytes and still leaves ship lag fetches the next chunk without sleeping, and starts a round as soon as the prober sees the peer come up; an empty, failed or generation-mismatched fetch returns the loop to the ShipInterval timer, so a failing peer is asked for its journal at most once per tick.
 func (c *Cluster) shipLoop(p *peer) {
 	defer c.wg.Done()
-	for {
-		if !c.sleep(c.cfg.ShipInterval) {
-			return
-		}
-		if !p.up.Load() {
-			continue
-		}
-		if _, err := c.fetchJournal(p); err != nil {
-			if !errors.Is(err, errGenerationChanged) {
-				c.shipErrors.Add(1)
+	for c.sleepOrWake(c.cfg.ShipInterval, p.wake) {
+		for p.up.Load() {
+			n, err := c.fetchJournal(p)
+			if err != nil {
+				if !errors.Is(err, errGenerationChanged) {
+					c.shipErrors.Add(1)
+				}
+				break
 			}
-			continue
+			c.shipRounds.Add(1)
+			if n == 0 || p.shipLag() == 0 {
+				break
+			}
 		}
-		c.shipRounds.Add(1)
+	}
+}
+
+// wakeShip cuts the ship loop's idle wait short; a pending wake covers it.
+func (p *peer) wakeShip() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
 	}
 }
 
 // fetchJournal performs one serialized tail round: fetch a chunk at the
 // replica's offset, fold complete lines in, advance. It returns the byte
 // count ingested. The per-peer syncMu keeps concurrent pullers (the ship
-// loop and the repair pass) from ingesting the same bytes twice.
+// loop and a repair resync) from ingesting the same bytes twice.
 func (c *Cluster) fetchJournal(p *peer) (int, error) {
 	p.syncMu.Lock()
 	defer p.syncMu.Unlock()

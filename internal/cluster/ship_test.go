@@ -1,18 +1,27 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster/netfaulty"
 	"repro/internal/cluster/peernet"
 	"repro/internal/resultstore"
+	"repro/internal/server"
 )
 
 func journalLine(t *testing.T, id string, seed int64) []byte {
@@ -184,5 +193,286 @@ func TestShipResumesFromOffsetAcrossOriginRestart(t *testing.T) {
 	}
 	if got := p.skipped.Load(); got != 0 {
 		t.Fatalf("skipped %d lines across a clean resume", got)
+	}
+}
+
+// backlogRecords is how many preloadBacklog records make a journal of at
+// least five journalChunk-sized fetches (each line is ~24 KiB).
+const backlogRecords = 64
+
+// preloadBacklog appends backlogRecords bulky records to an origin's store
+// and returns the journal's durable size.
+func preloadBacklog(t *testing.T, store *resultstore.Store, node string) int64 {
+	t.Helper()
+	times := make([]int64, 3000)
+	for i := range times {
+		times[i] = 1_000_000 + int64(i)
+	}
+	for i := 0; i < backlogRecords; i++ {
+		err := store.Append(resultstore.Record{
+			ID: fmt.Sprintf("pre-%s-%03d", node, i), Workload: "fft", Kit: "lockfree", Threads: 2,
+			Scale: "test", Seed: int64(i), Reps: len(times), Node: node, Status: "ok", TimesNS: times,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := store.DurableSize()
+	if size < 4*journalChunk {
+		t.Fatalf("backlog is %d bytes, want more than four %d-byte chunks", size, journalChunk)
+	}
+	return size
+}
+
+// TestShipDrainsBacklogWithoutWaitingForTicks boots a follower beside an
+// origin whose journal is several chunks long, with the ship tick and the
+// repair pass an hour away: only the prober's wake on first contact can
+// start the tail, and only a drain that does not sleep between chunks can
+// finish it.
+//
+//sync4:covers SYNC4-CLUS-006
+func TestShipDrainsBacklogWithoutWaitingForTicks(t *testing.T) {
+	var size int64
+	nodes := startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
+		ccfg.ShipInterval = time.Hour
+		ccfg.RepairInterval = time.Hour
+		if id == "a" {
+			size = preloadBacklog(t, scfg.Store, id)
+		}
+	})
+	b := nodes["b"]
+	p := b.cl.peers["a"]
+	waitWithin(t, 2*time.Second, "b never replicated a's preloaded journal without a ship tick", func() bool {
+		return p.replica.Len() == backlogRecords && p.offset.Load() == size && p.shipLag() == 0
+	})
+	if rounds := b.cl.shipRounds.Load(); rounds < size/journalChunk {
+		t.Fatalf("%d bytes arrived in %d fetches; the journal endpoint caps one at %d", size, rounds, journalChunk)
+	}
+	if got := b.cl.repairBytes.v.Load(); got != 0 {
+		t.Fatalf("the repair pass pulled %d bytes of a plain backlog", got)
+	}
+}
+
+// TestShipResumesOnHealWithoutRepairPass cuts b off from a, grows a's
+// journal by several chunks behind the partition and heals it, again with
+// the tick and the repair pass an hour away: the prober's down-to-up
+// transition must restart the tail and the ship loop alone must drain the
+// backlog — no resync, no repair bytes.
+//
+//sync4:covers SYNC4-CLUS-003
+//sync4:covers SYNC4-CLUS-006
+func TestShipResumesOnHealWithoutRepairPass(t *testing.T) {
+	var bFaults *netfaulty.Transport
+	nodes := startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
+		ccfg.ShipInterval = time.Hour
+		ccfg.RepairInterval = time.Hour
+		if id == "b" {
+			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout), netfaulty.Plan{Seed: faultSeed})
+			ccfg.Transport = bFaults
+		}
+	})
+	a, b := nodes["a"], nodes["b"]
+	p := b.cl.peers["a"]
+
+	bFaults.Partition("a")
+	waitFor(t, "b never saw a down through the partition", func() bool { return !p.up.Load() })
+	size := preloadBacklog(t, a.srv.Store(), "a")
+	if got := p.offset.Load(); got != 0 {
+		t.Fatalf("b shipped %d bytes through the partition", got)
+	}
+	bFaults.Heal("a")
+
+	waitWithin(t, 2*time.Second, "b never caught up on a's journal after the heal", func() bool {
+		return p.replica.Len() == backlogRecords && p.offset.Load() == size && p.shipLag() == 0
+	})
+	if !reflect.DeepEqual(p.replica.All(), a.srv.Store().All()) {
+		t.Fatal("b's replica of a differs from a's own record set")
+	}
+	if heals := b.cl.partitionHeals.v.Load(); heals != 1 {
+		t.Fatalf("b counted %d partition heals, want 1", heals)
+	}
+	if bytes, resyncs := b.cl.repairBytes.v.Load(), b.cl.resyncs.v.Load(); bytes != 0 || resyncs != 0 {
+		t.Fatalf("the heal cost %d repair bytes and %d resyncs, want the ship loop to do all of it", bytes, resyncs)
+	}
+}
+
+// shipOnly builds a real Cluster around an idle server with one peer,
+// "origin", already up, whose journal endpoint is h. No loop runs until the
+// test starts the peer's ship loop with shipLoopOf. Retries and hedging are
+// off so one fetch is one request.
+func shipOnly(t *testing.T, tick time.Duration, h http.Handler) (*Cluster, *peer) {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	store, err := resultstore.Open(filepath.Join(t.TempDir(), "follower.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Store: store, NodeID: "follower"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		store.Close()
+	})
+	c, err := New(Config{Self: "follower", Peers: map[string]string{"origin": ts.URL}, Server: srv,
+		ShipInterval: tick, RetryMax: -1, HedgeAfter: -1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.peers["origin"]
+	p.up.Store(true)
+	t.Cleanup(c.Stop)
+	return c, p
+}
+
+// shipLoopOf runs p's ship loop the way Start does; c.Stop ends it.
+func shipLoopOf(c *Cluster, p *peer) {
+	c.wg.Add(1)
+	go c.shipLoop(p)
+}
+
+// TestShipFailingPeerIsPolledOncePerTick is the other half of the pacing
+// contract: a fetch that made no progress goes back to the timer. Timer
+// fires cannot outnumber elapsed/tick, so neither may journal requests nor
+// counted errors (an open breaker refuses locally, which a hot loop would
+// show only in the latter).
+//
+//sync4:covers SYNC4-CLUS-006
+func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
+	const tick = 20 * time.Millisecond
+	line := journalLine(t, "r-origin-1", 1)
+	cases := []struct {
+		name   string
+		answer func(w http.ResponseWriter)
+	}{
+		{"status 500", func(w http.ResponseWriter) { w.WriteHeader(http.StatusInternalServerError) }},
+		{"generation changed", func(w http.ResponseWriter) {
+			// Bytes on offer and lag left, but under a generation the
+			// replica was not built from: the loop must park, not drain.
+			w.Header().Set(journalSizeHeader, "1000000")
+			w.Header().Set(journalGenHeader, "2")
+			w.Write(line)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var requests atomic.Int64
+			c, p := shipOnly(t, tick, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				tc.answer(w)
+			}))
+			p.syncedGen.Store(1)
+			start := time.Now()
+			shipLoopOf(c, p)
+			waitFor(t, "the ship loop never polled", func() bool { return requests.Load() >= 2 })
+			time.Sleep(10 * tick)
+			got, errs := requests.Load(), c.shipErrors.Load()
+			ticks := int64(time.Since(start) / tick)
+			if got > ticks+1 || errs > ticks+1 {
+				t.Fatalf("%d journal requests and %d ship errors in %d ticks: the loop is not waiting for the timer", got, errs, ticks)
+			}
+			if n := p.replica.Len(); n != 0 {
+				t.Fatalf("replica ingested %d records from a failing origin", n)
+			}
+		})
+	}
+}
+
+// TestShipStopsMidDrain puts the ship loop into a drain that never ends by
+// itself — every fetch ingests a line and leaves lag, and the tick is an
+// hour away, so every line after the first is the drain's — and requires
+// Stop and Kill to end it within the exchange in flight. Stop waits for the
+// loop's goroutine, so returning at all proves the goroutine is gone.
+func TestShipStopsMidDrain(t *testing.T) {
+	line := journalLine(t, "r-origin-1", 1)
+	stops := map[string]func(c *Cluster){
+		"Stop": (*Cluster).Stop,
+		"Kill": func(c *Cluster) {
+			c.Kill()
+			c.wg.Wait()
+		},
+	}
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			c, p := shipOnly(t, time.Hour, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				off, _ := strconv.ParseInt(r.URL.Query().Get("offset"), 10, 64)
+				w.Header().Set(journalSizeHeader, fmt.Sprint(off+2*int64(len(line))))
+				w.Write(line)
+			}))
+			shipLoopOf(c, p)
+			p.wakeShip()
+			waitFor(t, "the drain never got going", func() bool { return p.offset.Load() >= 3*int64(len(line)) })
+			before := p.offset.Load()
+			stopped := make(chan struct{})
+			go func() {
+				stop(c)
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the ship loop outlived its cluster")
+			}
+			// One exchange may be in flight at the cancel, and one more may
+			// have landed between reading the offset and cancelling.
+			after := p.offset.Load()
+			if lines := (after - before) / int64(len(line)); lines > 2 {
+				t.Fatalf("%d lines shipped after the stop began, want the drain to end with the exchange in flight", lines)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if late := p.offset.Load(); late != after {
+				t.Fatalf("offset moved %d bytes after the loop was stopped", late-after)
+			}
+		})
+	}
+}
+
+// TestPeerJournalSizesItsBufferToTheBytesOnOffer: the origin side used to
+// allocate a full journalChunk for every poll, including the caught-up
+// ones that are all an idle cluster ever sends.
+func TestPeerJournalSizesItsBufferToTheBytesOnOffer(t *testing.T) {
+	c, _ := shipOnly(t, time.Hour, http.NotFoundHandler())
+	store := c.srv.Store()
+	size := preloadBacklog(t, store, "follower")
+	journal := make([]byte, size)
+	if n, _, err := store.ReadJournal(journal, 0); err != nil || int64(n) != size {
+		t.Fatalf("reading the whole journal: %d of %d bytes, %v", n, size, err)
+	}
+	poll := func(off int64) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		c.handlePeerJournal(w, &http.Request{Method: http.MethodGet, URL: &url.URL{RawQuery: fmt.Sprintf("offset=%d", off)}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("poll at %d: status %d", off, w.Code)
+		}
+		if got := w.Header().Get(journalSizeHeader); got != fmt.Sprint(size) {
+			t.Fatalf("poll at %d advertises size %q, want %d", off, got, size)
+		}
+		if got := w.Header().Get(journalGenHeader); got != fmt.Sprint(store.Generation()) {
+			t.Fatalf("poll at %d advertises generation %q, want %d", off, got, store.Generation())
+		}
+		return w
+	}
+	for _, tc := range []struct{ off, want int64 }{
+		{0, journalChunk}, {journalChunk + 7, journalChunk}, {size - 1000, 1000}, {size, 0}, {size + 5, 0},
+	} {
+		body, _ := io.ReadAll(poll(tc.off).Body)
+		if int64(len(body)) != tc.want {
+			t.Fatalf("poll at %d of %d returned %d bytes, want %d", tc.off, size, len(body), tc.want)
+		}
+		if tc.want > 0 && !bytes.Equal(body, journal[tc.off:tc.off+tc.want]) {
+			t.Fatalf("poll at %d returned bytes that are not the journal's", tc.off)
+		}
+	}
+	const polls = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < polls; i++ {
+		poll(size)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / polls; per >= 4<<10 {
+		t.Fatalf("a caught-up poll allocates %d bytes, want under 4 KiB", per)
 	}
 }

@@ -14,17 +14,17 @@ import (
 // The thief side of work stealing. An idle node — empty admission ring,
 // spare worker capacity — asks the busiest healthy peer to donate queued
 // jobs, executes each spec on its own engine, and ships the outcome back
-// to the victim, which journals it. The loop is pull-based and paced by
-// StealInterval: no coordinator, no push fan-out, and a node under load
-// simply never asks.
+// to the victim, which journals it. The loop is pull-based: no coordinator,
+// no push fan-out, and a node under load simply never asks. StealInterval
+// paces only the idle check: a round that landed a job re-checks at once;
+// an empty, failed or wholly reclaimed (410) round goes back to the timer.
 
 // stealLoop is the background stealer.
 func (c *Cluster) stealLoop() {
 	defer c.wg.Done()
-	for {
-		if !c.sleep(c.cfg.StealInterval) {
-			return
-		}
+	pause := c.cfg.StealInterval
+	for c.sleep(pause) {
+		pause = c.cfg.StealInterval
 		if c.srv.Draining() || c.srv.Degraded() {
 			continue
 		}
@@ -38,14 +38,17 @@ func (c *Cluster) stealLoop() {
 		if victim == nil {
 			continue
 		}
-		max := min(spare, c.cfg.StealBatch)
-		jobs, err := c.stealFrom(victim, max)
+		jobs, err := c.stealFrom(victim, min(spare, c.cfg.StealBatch))
 		if err != nil {
 			c.stealErrors.Add(1)
 			continue
 		}
+		landed := c.stolenTotal.Load() // only this goroutine advances it
 		for _, sj := range jobs {
 			c.runStolen(victim, sj)
+		}
+		if c.stolenTotal.Load() > landed {
+			pause = 0
 		}
 	}
 }
@@ -183,10 +186,7 @@ func (c *Cluster) victimAwaits(victim *peer, id string) bool {
 // reclaimed-from immediately by the health prober's down transition.
 func (c *Cluster) reclaimLoop() {
 	defer c.wg.Done()
-	for {
-		if !c.sleep(c.cfg.ReclaimAfter / 4) {
-			return
-		}
+	for c.sleep(c.cfg.ReclaimAfter / 4) {
 		if n := c.srv.ReclaimStolen(c.cfg.ReclaimAfter); n > 0 {
 			c.cfg.Logf("cluster: reclaimed %d overdue stolen job(s)", n)
 		}
