@@ -23,8 +23,8 @@ import (
 )
 
 // minAnnotations guards against the registry silently emptying (a scan bug
-// would otherwise pass this gate vacuously).
-const minAnnotations = 90
+// would otherwise pass this gate vacuously). The module has 78 annotations.
+const minAnnotations = 75
 
 // coveredElsewhere lists annotated unexported functions this package cannot
 // reach; each entry names the in-package test that owns the probe instead.
@@ -72,14 +72,11 @@ func parseFullName(f analysis.ZeroAllocFunc) (registryEntry, error) {
 }
 
 // familyKey normalizes a receiver type name to the kittest probe key family:
-// tracedQueue/instrQueue/queue -> "queue", accumulator -> "accum".
+// obsQueue/queue -> "queue", accumulator -> "accum".
 func familyKey(typ string) string {
 	base := typ
-	for _, prefix := range []string{"traced", "instr"} {
-		if strings.HasPrefix(base, prefix) && len(base) > len(prefix) {
-			base = strings.ToLower(base[len(prefix):len(prefix)+1]) + base[len(prefix)+1:]
-			break
-		}
+	if rest, ok := strings.CutPrefix(base, "obs"); ok && rest != "" {
+		base = strings.ToLower(rest[:1]) + rest[1:]
 	}
 	switch base {
 	case "accumulator", "accum":
@@ -92,9 +89,10 @@ func familyKey(typ string) string {
 	return base
 }
 
-// probeSets maps an annotation to the probe(s) exercising it. Wrapper kits
-// are probed over both base kits, so "under both kits" holds for every
-// traced/instr annotation too.
+// probeSets maps an annotation to the probe(s) exercising it, keyed by
+// package path, or by wrapper mode for the observing decorator. Every mode
+// is probed over both base kits, so "under both kits" holds for the
+// decorator's annotations too.
 func probeSets(t *testing.T) map[string]map[string][]func() {
 	t.Helper()
 	rec := trace.NewRecorder(8, 1<<12)
@@ -103,13 +101,17 @@ func probeSets(t *testing.T) map[string]map[string][]func() {
 	kits := map[string][]sync4.Kit{
 		"repro/internal/sync4/lockfree": {lockfree.New()},
 		"repro/internal/sync4/classic":  {classic.New()},
-		// Wrapper annotations live in package sync4; probe them over both
-		// base kits, timing enabled so the instrumented timing path runs.
-		"repro/internal/sync4": {
-			sync4.Trace(classic.New(), rec),
-			sync4.Trace(lockfree.New(), rec),
+		// Instrument with timing enabled so the timing path runs.
+		"instr": {
 			sync4.Instrument(classic.New(), &counters, true),
 			sync4.Instrument(lockfree.New(), &counters, true),
+		},
+		// Trace alone, and Trace over Instrument — every splash4d job's kit.
+		"traced": {
+			sync4.Trace(classic.New(), rec),
+			sync4.Trace(lockfree.New(), rec),
+			sync4.Trace(sync4.Instrument(classic.New(), &counters, false), rec),
+			sync4.Trace(sync4.Instrument(lockfree.New(), &counters, false), rec),
 		},
 	}
 	out := make(map[string]map[string][]func())
@@ -184,23 +186,38 @@ func TestZeroAllocAnnotationsHold(t *testing.T) {
 			t.Logf("%s: covered by %s", e.full, why)
 			continue
 		}
-		var probes []func()
-		if byKey, ok := kitProbes[e.pkgPath]; ok {
-			probes = byKey[familyKey(e.typ)+"."+e.method]
-		}
-		if probes == nil {
-			probes = direct[e.typ+"."+e.method]
-		}
-		if len(probes) == 0 {
-			t.Errorf("%s: no probe mapped — add one to kittest.ZeroAllocProbes, directProbes, or coveredElsewhere", e.full)
-			continue
-		}
-		t.Run(strings.TrimPrefix(e.full, "(*repro/internal/"), func(t *testing.T) {
-			for i, probe := range probes {
-				if avg := testing.AllocsPerRun(100, probe); avg != 0 {
-					t.Errorf("probe %d: %.1f allocs per op; want 0", i, avg)
-				}
+		// Each observing-decorator annotation runs once per mode, so an
+		// allocation is pinned to the counting or the recording path; the
+		// subtest names the mode where the type's "obs" prefix is:
+		// sync4.instrQueue).Put and sync4.tracedQueue).Put.
+		name := strings.TrimPrefix(e.full, "(*repro/internal/")
+		runs := [][2]string{{name, e.pkgPath}}
+		if e.pkgPath == "repro/internal/sync4" && strings.HasPrefix(e.typ, "obs") {
+			runs = [][2]string{
+				{strings.Replace(name, ".obs", ".instr", 1), "instr"},
+				{strings.Replace(name, ".obs", ".traced", 1), "traced"},
 			}
-		})
+		}
+		for _, run := range runs {
+			name, key := run[0], run[1]
+			var probes []func()
+			if byKey, ok := kitProbes[key]; ok {
+				probes = byKey[familyKey(e.typ)+"."+e.method]
+			}
+			if probes == nil {
+				probes = direct[e.typ+"."+e.method]
+			}
+			if len(probes) == 0 {
+				t.Errorf("%s: no probe mapped — add one to kittest.ZeroAllocProbes, directProbes, or coveredElsewhere", name)
+				continue
+			}
+			t.Run(name, func(t *testing.T) {
+				for i, probe := range probes {
+					if avg := testing.AllocsPerRun(100, probe); avg != 0 {
+						t.Errorf("probe %d: %.1f allocs per op; want 0", i, avg)
+					}
+				}
+			})
+		}
 	}
 }

@@ -167,8 +167,9 @@ func RunContext(ctx context.Context, b core.Benchmark, cfg core.Config, opt Opti
 		runCfg.Kit = sync4.Instrument(cfg.Kit, counters, opt.TimedSync)
 	}
 	if opt.Trace != nil {
-		// Trace outside Instrument: both observe exactly the workload's
-		// calls, keeping the trace census and Result.Sync comparable.
+		// Trace over Instrument extends that wrapper into one layer, which
+		// counts and records exactly the workload's calls, keeping the
+		// trace census and Result.Sync comparable.
 		runCfg.Kit = sync4.Trace(runCfg.Kit, opt.Trace)
 		armPinning()
 		defer disarmPinning()

@@ -1,8 +1,10 @@
 package sync4
 
 import (
+	"fmt"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/trace"
 )
 
 // Counters aggregates synchronization events observed by an instrumented
@@ -151,237 +153,32 @@ func (s Snapshot) Total() int64 {
 		s.QueuePuts + s.QueueGets + s.StackPushes + s.StackPops
 }
 
-// Instrument wraps kit so that every synchronization operation increments
-// the matching field in c. When withTime is true, blocking operations also
-// accumulate their wall-clock duration; this adds two time.Now calls per
-// blocking operation, so leave it off for pure event censuses on hot paths.
-func Instrument(kit Kit, c *Counters, withTime bool) Kit {
-	return &instrumentedKit{base: kit, c: c, timed: withTime}
-}
-
-type instrumentedKit struct {
-	base  Kit
-	c     *Counters
-	timed bool
-}
-
-func (k *instrumentedKit) Name() string { return k.base.Name() + "+instr" }
-
-func (k *instrumentedKit) NewBarrier(n int) Barrier {
-	k.c.BarriersCreated.Add(1)
-	return &instrBarrier{b: k.base.NewBarrier(n), k: k}
-}
-
-func (k *instrumentedKit) NewLock() Locker {
-	k.c.LocksCreated.Add(1)
-	return &instrLock{l: k.base.NewLock(), k: k}
-}
-
-func (k *instrumentedKit) NewCounter() Counter {
-	k.c.CountersCreated.Add(1)
-	return &instrCounter{c: k.base.NewCounter(), k: k}
-}
-
-func (k *instrumentedKit) NewAccumulator() Accumulator {
-	k.c.AccumsCreated.Add(1)
-	return &instrAccum{a: k.base.NewAccumulator(), k: k}
-}
-
-func (k *instrumentedKit) NewMinMax() MinMax {
-	k.c.MinMaxCreated.Add(1)
-	return &instrMinMax{m: k.base.NewMinMax(), k: k}
-}
-
-func (k *instrumentedKit) NewFlag() Flag {
-	k.c.FlagsCreated.Add(1)
-	return &instrFlag{f: k.base.NewFlag(), k: k}
-}
-
-func (k *instrumentedKit) NewQueue(capacity int) Queue {
-	k.c.QueuesCreated.Add(1)
-	return &instrQueue{q: k.base.NewQueue(capacity), k: k}
-}
-
-func (k *instrumentedKit) NewStack() Stack {
-	k.c.StacksCreated.Add(1)
-	return &instrStack{s: k.base.NewStack(), k: k}
-}
-
-type instrBarrier struct {
-	b Barrier
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (b *instrBarrier) Wait() {
-	b.k.c.BarrierWaits.Add(1)
-	if b.k.timed {
-		start := time.Now()
-		b.b.Wait()
-		b.k.c.BarrierNanos.Add(time.Since(start).Nanoseconds())
-		return
+// CheckTraceCensus compares a capture's per-operation event counts with an
+// Instrument census of the same run and returns the first disagreement.
+// Lock releases are traced but not censused, so they are not compared. A
+// lossy capture legitimately undercounts and is never an error.
+func CheckTraceCensus(c *trace.Capture, s Snapshot) error {
+	if c.TotalDropped() > 0 {
+		return nil
 	}
-	b.b.Wait()
-}
-
-type instrLock struct {
-	l Locker
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (l *instrLock) Lock() {
-	l.k.c.LockAcquires.Add(1)
-	if l.k.timed {
-		start := time.Now()
-		l.l.Lock()
-		l.k.c.LockNanos.Add(time.Since(start).Nanoseconds())
-		return
+	got := c.OpCounts()
+	for _, p := range []struct {
+		op     trace.Op
+		census int64
+	}{
+		{trace.OpBarrierWait, s.BarrierWaits},
+		{trace.OpLockAcquire, s.LockAcquires},
+		{trace.OpRMW, s.RMWOps()},
+		{trace.OpFlagSet, s.FlagSets},
+		{trace.OpFlagWait, s.FlagWaits},
+		{trace.OpQueuePut, s.QueuePuts},
+		{trace.OpQueueGet, s.QueueGets},
+		{trace.OpStackPush, s.StackPushes},
+		{trace.OpStackPop, s.StackPops},
+	} {
+		if got[p.op] != p.census {
+			return fmt.Errorf("%s: trace %d, census %d", p.op, got[p.op], p.census)
+		}
 	}
-	l.l.Lock()
+	return nil
 }
-
-//sync4:zeroalloc
-func (l *instrLock) Unlock() { l.l.Unlock() }
-
-type instrCounter struct {
-	c Counter
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (c *instrCounter) Add(delta int64) int64 {
-	c.k.c.CounterOps.Add(1)
-	return c.c.Add(delta)
-}
-
-//sync4:zeroalloc
-func (c *instrCounter) Inc() int64 {
-	c.k.c.CounterOps.Add(1)
-	return c.c.Inc()
-}
-
-//sync4:zeroalloc
-func (c *instrCounter) Load() int64 { return c.c.Load() }
-
-//sync4:zeroalloc
-func (c *instrCounter) Store(v int64) { c.c.Store(v) }
-
-type instrAccum struct {
-	a Accumulator
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (a *instrAccum) Add(v float64) {
-	a.k.c.AccumOps.Add(1)
-	a.a.Add(v)
-}
-
-//sync4:zeroalloc
-func (a *instrAccum) Load() float64 { return a.a.Load() }
-
-//sync4:zeroalloc
-func (a *instrAccum) Store(v float64) { a.a.Store(v) }
-
-type instrMinMax struct {
-	m MinMax
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (m *instrMinMax) Update(v float64) {
-	m.k.c.MinMaxOps.Add(1)
-	m.m.Update(v)
-}
-
-//sync4:zeroalloc
-func (m *instrMinMax) Min() float64 { return m.m.Min() }
-
-//sync4:zeroalloc
-func (m *instrMinMax) Max() float64 { return m.m.Max() }
-func (m *instrMinMax) Reset()       { m.m.Reset() }
-
-type instrFlag struct {
-	f Flag
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (f *instrFlag) Set() {
-	f.k.c.FlagSets.Add(1)
-	f.f.Set()
-}
-
-//sync4:zeroalloc
-func (f *instrFlag) Wait() {
-	f.k.c.FlagWaits.Add(1)
-	if f.k.timed {
-		start := time.Now()
-		f.f.Wait()
-		f.k.c.FlagNanos.Add(time.Since(start).Nanoseconds())
-		return
-	}
-	f.f.Wait()
-}
-
-//sync4:zeroalloc
-func (f *instrFlag) IsSet() bool { return f.f.IsSet() }
-
-type instrQueue struct {
-	q Queue
-	k *instrumentedKit
-}
-
-//sync4:zeroalloc
-func (q *instrQueue) Put(v int64) {
-	q.k.c.QueuePuts.Add(1)
-	q.q.Put(v)
-}
-
-//sync4:zeroalloc
-func (q *instrQueue) TryPut(v int64) bool {
-	ok := q.q.TryPut(v)
-	if ok {
-		q.k.c.QueuePuts.Add(1)
-	}
-	return ok
-}
-
-//sync4:zeroalloc
-func (q *instrQueue) TryGet() (int64, bool) {
-	v, ok := q.q.TryGet()
-	if ok {
-		q.k.c.QueueGets.Add(1)
-	} else {
-		q.k.c.QueueGetFails.Add(1)
-	}
-	return v, ok
-}
-
-//sync4:zeroalloc
-func (q *instrQueue) Len() int { return q.q.Len() }
-
-type instrStack struct {
-	s Stack
-	k *instrumentedKit
-}
-
-func (s *instrStack) Push(v int64) {
-	s.k.c.StackPushes.Add(1)
-	s.s.Push(v)
-}
-
-//sync4:zeroalloc
-func (s *instrStack) TryPop() (int64, bool) {
-	v, ok := s.s.TryPop()
-	if ok {
-		s.k.c.StackPops.Add(1)
-	} else {
-		s.k.c.StackPopFails.Add(1)
-	}
-	return v, ok
-}
-
-//sync4:zeroalloc
-func (s *instrStack) Len() int { return s.s.Len() }

@@ -107,7 +107,9 @@ func Classic() Kit { return classic.New() }
 func Lockfree() Kit { return lockfree.New() }
 
 // Instrument wraps kit so synchronization events are counted into c; when
-// withTime is true, blocking calls also accumulate wall time.
+// withTime is true, blocking calls also accumulate wall time. Instrument and
+// Trace are one decorator: Trace over an instrumented kit adds recording to
+// the same wrapper rather than stacking a second one.
 func Instrument(kit Kit, c *SyncCounters, withTime bool) Kit {
 	return sync4.Instrument(kit, c, withTime)
 }
@@ -129,8 +131,9 @@ func NewTraceRecorder(maxLanes, capacity int) *TraceRecorder {
 
 // Trace wraps kit so every synchronization operation is recorded as a typed
 // event in r (zero-allocation on the hot path). A nil recorder returns kit
-// unchanged. Most callers should set Options.Trace instead, which also pins
-// workers to OS threads so trace lanes map 1:1 onto logical threads.
+// unchanged; a kit from Instrument is extended, not wrapped again. Most
+// callers should set Options.Trace instead, which also pins workers to OS
+// threads so trace lanes map 1:1 onto logical threads.
 func Trace(kit Kit, r *TraceRecorder) Kit { return sync4.Trace(kit, r) }
 
 // Compose builds a kit that takes each construct family from the override
