@@ -11,51 +11,29 @@ import (
 // families appended to the node's /metrics exposition. Peer-labeled series
 // iterate c.order so scrape output is stable.
 func (c *Cluster) writeMetrics(w io.Writer) {
-	fmt.Fprintf(w, "# HELP splash4d_peer_up 1 while the peer's last health probe succeeded and it reported ready.\n# TYPE splash4d_peer_up gauge\n")
-	for _, id := range c.order {
-		if id == c.cfg.Self {
-			continue
+	perPeer := func(name, typ, help string, value func(*peer) int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, id := range c.order {
+			if id != c.cfg.Self {
+				fmt.Fprintf(w, "%s{peer=%q} %d\n", name, id, value(c.peers[id]))
+			}
 		}
-		up := 0
-		if c.peers[id].up.Load() {
-			up = 1
-		}
-		fmt.Fprintf(w, "splash4d_peer_up{peer=%q} %d\n", id, up)
 	}
-
-	fmt.Fprintf(w, "# HELP splash4d_journal_ship_lag Durable bytes of the peer's journal not yet replicated here.\n# TYPE splash4d_journal_ship_lag gauge\n")
-	for _, id := range c.order {
-		if id == c.cfg.Self {
-			continue
-		}
-		fmt.Fprintf(w, "splash4d_journal_ship_lag{peer=%q} %d\n", id, c.peers[id].shipLag())
-	}
-
-	fmt.Fprintf(w, "# HELP splash4d_journal_replica_records Records replicated from the peer's journal.\n# TYPE splash4d_journal_replica_records gauge\n")
-	for _, id := range c.order {
-		if id == c.cfg.Self {
-			continue
-		}
-		fmt.Fprintf(w, "splash4d_journal_replica_records{peer=%q} %d\n", id, c.peers[id].replica.Len())
-	}
-
-	fmt.Fprintf(w, "# HELP splash4d_peer_breaker_state Circuit breaker state for the peer: 0 closed, 1 open, 2 half-open.\n# TYPE splash4d_peer_breaker_state gauge\n")
-	for _, id := range c.order {
-		if id == c.cfg.Self {
-			continue
-		}
-		state, _ := c.peers[id].brk.snapshot()
-		fmt.Fprintf(w, "splash4d_peer_breaker_state{peer=%q} %d\n", id, state)
-	}
-
-	fmt.Fprintf(w, "# HELP splash4d_peer_breaker_transitions_total Circuit breaker state transitions for the peer since start.\n# TYPE splash4d_peer_breaker_transitions_total counter\n")
-	for _, id := range c.order {
-		if id == c.cfg.Self {
-			continue
-		}
-		_, transitions := c.peers[id].brk.snapshot()
-		fmt.Fprintf(w, "splash4d_peer_breaker_transitions_total{peer=%q} %d\n", id, transitions)
-	}
+	perPeer("splash4d_peer_up", "gauge", "1 while the peer's last health probe succeeded and it reported ready.",
+		func(p *peer) int64 {
+			if p.up.Load() {
+				return 1
+			}
+			return 0
+		})
+	perPeer("splash4d_journal_ship_lag", "gauge", "Durable bytes of the peer's journal not yet replicated here.",
+		(*peer).shipLag)
+	perPeer("splash4d_journal_replica_records", "gauge", "Records replicated from the peer's journal.",
+		func(p *peer) int64 { return int64(p.replica.Len()) })
+	perPeer("splash4d_peer_breaker_state", "gauge", "Circuit breaker state for the peer: 0 closed, 1 open, 2 half-open.",
+		func(p *peer) int64 { state, _ := p.brk.snapshot(); return int64(state) })
+	perPeer("splash4d_peer_breaker_transitions_total", "counter", "Circuit breaker state transitions for the peer since start.",
+		func(p *peer) int64 { _, transitions := p.brk.snapshot(); return transitions })
 
 	fmt.Fprintf(w, "# HELP splash4d_peer_retries_total Peer exchanges retried after a failure, by endpoint.\n# TYPE splash4d_peer_retries_total counter\n")
 	for i, ep := range peernet.Endpoints {

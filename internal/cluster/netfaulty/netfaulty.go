@@ -282,22 +282,13 @@ func site(peer, endpoint string) uint64 {
 	return h
 }
 
-// roll returns the deterministic uniform draw in [0, 1) for the n-th
-// exchange on site.
-func (t *Transport) roll(site uint64, n int64) float64 {
-	h := splitmix.Mix(splitmix.Mix(t.plan.Seed^site) ^ uint64(n))
-	return float64(h>>11) / (1 << 53)
-}
-
 // fire decides, counts and optionally records one injection. Caller holds
 // mu.
 func (t *Transport) fire(f Fault, prob float64, s uint64, n int64, peer, endpoint string) bool {
 	if prob <= 0 {
 		return false
 	}
-	// Offset the draw space per fault class so one exchange consults
-	// independent streams for each class.
-	if t.roll(s^(uint64(f)<<56), n) >= prob {
+	if splitmix.Roll(t.plan.Seed, s, uint8(f), n) >= prob {
 		return false
 	}
 	t.inject(f, peer, endpoint, n)
@@ -348,7 +339,7 @@ func (t *Transport) decide(call *peernet.PeerCall) verdict {
 
 	if v.hold == 0 && t.fire(FaultLatency, t.plan.Latency, s, n, call.Peer, call.Endpoint) {
 		// Deterministic fraction of the bound, never zero.
-		frac := t.roll(s^(uint64(FaultLatency)<<56)^(1<<63), n)
+		frac := splitmix.Roll(t.plan.Seed, s^1<<63, uint8(FaultLatency), n)
 		v.hold = time.Duration(float64(t.plan.latencyMax()) * (0.25 + 0.75*frac))
 	}
 	if t.fire(FaultRefuse, t.plan.Refuse, s, n, call.Peer, call.Endpoint) {

@@ -1,7 +1,7 @@
 // Package splitmix is the module's one splitmix64 (Steele, Lea & Flood,
-// OOPSLA 2014): every seeded fault schedule, load stream, retry jitter and
-// journal generation ID draws through it, so a pinned seed means the same
-// bits everywhere.
+// OOPSLA 2014): every seeded fault schedule, test traffic schedule, retry
+// jitter and journal generation ID draws through it, so a pinned seed means
+// the same bits everywhere.
 package splitmix
 
 const gamma = 0x9E3779B97F4A7C15 // stream increment
@@ -20,4 +20,14 @@ func Next(state *uint64) uint64 {
 	z := Mix(*state)
 	*state += gamma
 	return z
+}
+
+// Roll is the fault injectors' coin: the uniform draw in [0, 1) for the
+// n-th event on site under the schedule seed. Each fault class gets its own
+// stream (the class is offset into the site's top byte), so a site that
+// consults two classes draws independently for each. Roll is stateless, so
+// a schedule never depends on the interleaving of the sites consulting it.
+func Roll(seed, site uint64, class uint8, n int64) float64 {
+	h := Mix(Mix(seed^site^uint64(class)<<56) ^ uint64(n))
+	return float64(h>>11) / (1 << 53)
 }

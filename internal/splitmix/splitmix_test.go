@@ -14,4 +14,9 @@ func TestReferenceVectors(t *testing.T) {
 			t.Fatalf("draw %d = %d, want %d", i, got, want)
 		}
 	}
+	// Roll pins the fault injectors' coin: Mix(Mix(seed^site^class<<56)^n)>>11
+	// scaled to [0, 1).
+	if got, want := Roll(1234567, 0x100, 2, 7), float64(5199524572451202)/(1<<53); got != want {
+		t.Fatalf("Roll(1234567, 0x100, 2, 7) = %v, want %v", got, want)
+	}
 }

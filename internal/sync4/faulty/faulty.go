@@ -198,21 +198,12 @@ func (inj *Injector) Report() Report {
 	return r
 }
 
-// roll returns the deterministic uniform draw in [0, 1) for the n-th
-// operation on site.
-func (inj *Injector) roll(site uint64, n int64) float64 {
-	h := splitmix.Mix(splitmix.Mix(uint64(inj.plan.Seed)^site) ^ uint64(n))
-	return float64(h>>11) / (1 << 53)
-}
-
 // fire decides, counts and optionally records one injection.
 func (inj *Injector) fire(f Fault, prob float64, site uint64, n int64, op string) bool {
 	if prob <= 0 {
 		return false
 	}
-	// Offset the draw space per fault class so a site that consults two
-	// classes (e.g. delay and straggler) gets independent streams.
-	if inj.roll(site^(uint64(f)<<56), n) >= prob {
+	if splitmix.Roll(uint64(inj.plan.Seed), site, uint8(f), n) >= prob {
 		return false
 	}
 	inj.injected[f].Add(1)

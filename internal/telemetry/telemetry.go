@@ -14,11 +14,11 @@
 // allocation (//sync4:zeroalloc, enforced by splash4-vet and the allocgate
 // probes).
 //
-// Spans cross-link to the PR-2 synchronization trace: a repetition span
-// carries the trace-event count and cumulative blocked time of its
-// capture, so a slow rep can be drilled into its barrier/lock episodes
-// with cmd/splash4-trace. docs/TELEMETRY.md documents the model and the
-// access-log schema.
+// Spans cross-link to the synchronization trace (internal/trace): a
+// repetition span carries the trace-event count and cumulative blocked
+// time of its capture, so a slow rep can be drilled into its barrier/lock
+// episodes with cmd/splash4-trace. docs/OBSERVABILITY.md ("Request-level
+// telemetry") documents the model and the access-log schema.
 package telemetry
 
 import (
