@@ -1,9 +1,10 @@
 # Build/verify entry points for the splash4 reproduction.
 #
-#   make check        tier-1 gate: build, go vet, splash4-vet concurrency
-#                     invariants, conformance, full test suite (which holds
-#                     every end-to-end check: daemon, cluster, fault
-#                     injection, retry contract, tracer), allocs gate
+#   make check        tier-1 gate: build, gofmt (every .go file in the tree,
+#                     analysis testdata included), go vet, splash4-vet
+#                     concurrency invariants, conformance, full test suite
+#                     (which holds every end-to-end check: daemon, cluster,
+#                     fault injection, retry contract, tracer), allocs gate
 #   make race         tier-2 gate: the whole suite under the Go race detector,
 #                     then the scheduling-dependent tests again: event order
 #                     x20, the ship loop's drain/heal/pacing/stop tests x10
@@ -21,6 +22,7 @@ GO ?= go
 .PHONY: check vet allocs-gate race test build bench conformance conformance-gen
 
 check: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/splash4-vet ./...
 	$(MAKE) conformance

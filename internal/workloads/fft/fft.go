@@ -10,8 +10,18 @@
 // lock-protected double; in Splash-4 they are an atomic barrier and a CAS
 // accumulation — here both come from the configured sync4.Kit.
 //
-// Scale mapping: test m=12 (4K points), small m=16 (64K, the Splash default
-// input), default m=20 (1M), large m=22 (4M).
+// The non-synchronizing work is fft.c's too: the transposes move
+// 16 x 16 tiles (its Transpose), and the row FFTs and the twiddle step read
+// precomputed roots of unity (its umain and umain2) instead of calling sin
+// and cos. fft.c's umain2 has n entries; here the twiddle is factored into
+// two per-instance tables of sqrt(n) entries each, which Prepare fills with
+// 2*sqrt(n) sincos calls instead of n.
+//
+// Scale mapping and memory (the two n-point matrices; the root tables add
+// 32*sqrt(n) bytes): test m=12 (4K points, 128 KiB), small m=16 (64K, the
+// Splash default input, 2 MiB), default m=20 (1M, 32 MiB), large m=22 (4M,
+// 128 MiB). No copy of the input is kept: Verify regenerates it from the
+// seed.
 package fft
 
 import (
@@ -67,32 +77,56 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 		return nil, fmt.Errorf("fft: threads (%d) exceed matrix rows (%d)", cfg.Threads, rootN)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	inst := &instance{
-		threads: cfg.Threads,
-		n:       n,
-		rootN:   rootN,
-		x:       make([]complex128, n),
-		trans:   make([]complex128, n),
-		orig:    make([]complex128, n),
-		barrier: cfg.Kit.NewBarrier(cfg.Threads),
-		chksum:  cfg.Kit.NewAccumulator(),
+		threads:  cfg.Threads,
+		n:        n,
+		rootN:    rootN,
+		logRootN: m / 2,
+		seed:     cfg.Seed,
+		x:        make([]complex128, n),
+		trans:    make([]complex128, n),
+		roots:    unitRoots(rootN, rootN),
+		fine:     unitRoots(rootN, n),
+		barrier:  cfg.Kit.NewBarrier(cfg.Threads),
+		chksum:   cfg.Kit.NewAccumulator(),
 	}
-	for i := range inst.x {
-		v := complex(rng.Float64()-0.5, rng.Float64()-0.5)
-		inst.x[i] = v
-		inst.orig[i] = v
-	}
+	input(inst.x, cfg.Seed)
 	return inst, nil
 }
 
+// input fills x with the seed's points, uniform in [-0.5, 0.5) in both parts.
+// Verify regenerates them rather than keeping a copy.
+func input(x []complex128, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := range x {
+		x[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+	}
+}
+
+// unitRoots returns e^(-2*pi*i*j/order) for j in [0, count).
+func unitRoots(count, order int) []complex128 {
+	w := make([]complex128, count)
+	for j := range w {
+		s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(order))
+		w[j] = complex(c, s)
+	}
+	return w
+}
+
 type instance struct {
-	threads int
-	n       int
-	rootN   int
-	x       []complex128 // rootN x rootN row-major working matrix
-	trans   []complex128 // transpose scratch
-	orig    []complex128 // pristine input for verification
+	threads  int
+	n        int
+	rootN    int
+	logRootN int
+	seed     int64        // the input is regenerated from it by Verify
+	x        []complex128 // rootN x rootN row-major working matrix
+	trans    []complex128 // transpose scratch
+	// roots[j] = e^(-2*pi*i*j/rootN) are the twiddles of every row FFT
+	// (fft.c's umain) and fine[j] = e^(-2*pi*i*j/n); step 3's w^k, k < n, is
+	// roots[k/rootN] * fine[k%rootN], so two rootN tables stand in for
+	// fft.c's n-entry umain2.
+	roots   []complex128
+	fine    []complex128
 	barrier sync4.Barrier
 	chksum  sync4.Accumulator
 	ran     bool
@@ -117,17 +151,17 @@ func (in *instance) worker(tid int) {
 
 	// Step 2: FFT each owned row of trans.
 	for r := lo; r < hi; r++ {
-		fft1D(in.trans[r*in.rootN : (r+1)*in.rootN])
+		fft1D(in.trans[r*in.rootN:(r+1)*in.rootN], in.roots)
 	}
 	// Step 3: twiddle scaling. trans row r holds original column r, so
 	// element (r, c) corresponds to matrix position (row c, col r) of the
 	// n-point decomposition and is scaled by w^(r*c).
-	w := -2 * math.Pi / float64(in.n)
+	mask := in.rootN - 1
 	for r := lo; r < hi; r++ {
 		row := in.trans[r*in.rootN : (r+1)*in.rootN]
 		for c := range row {
-			angle := w * float64(r) * float64(c)
-			row[c] *= cmplx.Exp(complex(0, angle))
+			k := r * c
+			row[c] *= in.roots[k>>in.logRootN] * in.fine[k&mask]
 		}
 	}
 	in.barrier.Wait()
@@ -138,7 +172,7 @@ func (in *instance) worker(tid int) {
 
 	// Step 5: FFT each owned row of x.
 	for r := lo; r < hi; r++ {
-		fft1D(in.x[r*in.rootN : (r+1)*in.rootN])
+		fft1D(in.x[r*in.rootN:(r+1)*in.rootN], in.roots)
 	}
 	in.barrier.Wait()
 
@@ -159,20 +193,33 @@ func (in *instance) worker(tid int) {
 	in.chksum.Add(local)
 }
 
-// transposeRows writes rows [lo,hi) of src into columns [lo,hi) of dst.
-// Both are rootN x rootN row-major.
+// tile is the side of the square blocks transposeRows copies: a 16 x 16
+// block reads 16 source rows and writes 16 destination rows, 4 KiB each way,
+// which stay in L1 and in the TLB while the block is copied.
+const tile = 16
+
+// transposeRows writes rows [lo,hi) of src into columns [lo,hi) of dst, tile
+// by tile, as fft.c's Transpose does: a row-at-a-time transpose writes one
+// element per destination row, a rootN*16-byte stride, and misses on nearly
+// every store. Both matrices are rootN x rootN row-major.
 func (in *instance) transposeRows(src, dst []complex128, lo, hi int) {
 	n := in.rootN
-	for r := lo; r < hi; r++ {
-		row := src[r*n : (r+1)*n]
-		for c := 0; c < n; c++ {
-			dst[c*n+r] = row[c]
+	for r0 := lo; r0 < hi; r0 += tile {
+		r1 := min(r0+tile, hi)
+		for c0 := 0; c0 < n; c0 += tile {
+			c1 := min(c0+tile, n)
+			for r := r0; r < r1; r++ {
+				for c, v := range src[r*n+c0 : r*n+c1] {
+					dst[(c0+c)*n+r] = v
+				}
+			}
 		}
 	}
 }
 
-// fft1D performs an in-place iterative radix-2 Cooley-Tukey FFT.
-func fft1D(a []complex128) {
+// fft1D performs an in-place iterative radix-2 Cooley-Tukey FFT. roots[j]
+// is e^(-2*pi*i*j/len(a)), at least for j < len(a)/2.
+func fft1D(a, roots []complex128) {
 	n := len(a)
 	// Bit-reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
@@ -186,17 +233,15 @@ func fft1D(a []complex128) {
 		}
 	}
 	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
+		half := length / 2
+		stride := n / length // w_length^j = w_n^(j*stride)
 		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := a[i+j]
-				v := a[i+j+half] * w
-				a[i+j] = u + v
-				a[i+j+half] = u - v
-				w *= wl
+			lo, hi := a[i:i+half], a[i+half:i+length]
+			for j := range lo {
+				u := lo[j]
+				v := hi[j] * roots[j*stride]
+				lo[j] = u + v
+				hi[j] = u - v
 			}
 		}
 	}
@@ -210,7 +255,7 @@ func (in *instance) Verify() error {
 		return fmt.Errorf("fft: verify before run")
 	}
 	ref := make([]complex128, in.n)
-	copy(ref, in.orig)
+	input(ref, in.seed)
 	recursiveFFT(ref)
 
 	var maxMag float64
@@ -219,7 +264,7 @@ func (in *instance) Verify() error {
 			maxMag = m
 		}
 	}
-	tol := 1e-9 * float64(in.n) * math.Max(maxMag, 1)
+	tol := tolerance(in.n, maxMag)
 	for i := range ref {
 		if d := cmplx.Abs(in.trans[i] - ref[i]); d > tol {
 			return fmt.Errorf("fft: element %d differs: got %v want %v (|diff|=%g, tol=%g)",
@@ -237,6 +282,19 @@ func (in *instance) Verify() error {
 		return fmt.Errorf("fft: checksum mismatch: reduced %g, direct %g", got, want)
 	}
 	return nil
+}
+
+// tolerance is the largest |kernel - oracle| Verify accepts on an n-point
+// transform whose largest output magnitude is maxMag: 8 eps log2(n) maxMag,
+// following the log2(n) growth of a radix-2 FFT's rounding error. Measured
+// at m = 12, 16 and 20 on seeds 1-3, the kernel's worst error is 0.14-0.17
+// eps log2(n) maxMag (about 50x headroom), and the reference kernel the
+// tests hold it to, whose twiddles are a running product, reaches 4.8 at
+// m = 20. Roots rounded to float32 miss the bound by a factor of three
+// million.
+func tolerance(n int, maxMag float64) float64 {
+	const eps = 0x1p-52
+	return 8 * eps * math.Log2(float64(n)) * math.Max(maxMag, 1)
 }
 
 // recursiveFFT is an out-of-band oracle: a different algorithm (recursive

@@ -2,6 +2,7 @@ package volrend
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -141,6 +142,70 @@ func TestFastPathMatchesReferenceRayForRay(t *testing.T) {
 			}
 			if lit == 0 {
 				t.Errorf("scale %s seed %d: every compared ray is black, the comparison proves nothing", c.scale, seed)
+			}
+		}
+	}
+}
+
+// refSynthesize is synthesizeVolume as it was before the shell table, with
+// the shell term evaluated per voxel. It is kept verbatim as the oracle the
+// table must match bit for bit, and overwrites in.density.
+func (in *instance) refSynthesize(seed int64) {
+	v := in.vol
+	blobs := seedBlobs(seed)
+	coord := func(i int) float64 { return (float64(i) + 0.5) / float64(v) }
+	// ex[i][b] is blob b's factor along x at voxel i; ey and ez likewise.
+	ex := make([][nBlobs]float64, v)
+	ey := make([][nBlobs]float64, v)
+	ez := make([][nBlobs]float64, v)
+	for i := 0; i < v; i++ {
+		f := coord(i)
+		for b, bl := range blobs {
+			factor := func(centre float64) float64 {
+				g := f - centre
+				return math.Exp(-(g * g) / (bl.w * bl.w))
+			}
+			ex[i][b], ey[i][b], ez[i][b] = factor(bl.x), factor(bl.y), factor(bl.z)
+		}
+	}
+	for y := 0; y < v; y++ {
+		for x := 0; x < v; x++ {
+			dx, dy := coord(x)-0.5, coord(y)-0.5
+			var exy [nBlobs]float64
+			for b := range exy {
+				exy[b] = 0.7 * ex[x][b] * ey[y][b]
+			}
+			col := in.column(x, y)
+			for z := range col {
+				dz := coord(z) - 0.5
+				r := math.Sqrt(dx*dx + dy*dy + dz*dz)
+				d := math.Exp(-((r - 0.4) * (r - 0.4)) / 0.002)
+				for b, f := range ez[z] {
+					d += exy[b] * f
+				}
+				col[z] = float32(d)
+			}
+		}
+	}
+}
+
+// TestShellTableMatchesPerVoxelShell holds the shell table to the per-voxel
+// formula it replaced. At 192^3 the voxel coordinates are not exact binary
+// fractions, so the table's radius can differ from the per-voxel one in the
+// last float64 bit; the float32 densities must still be identical.
+func TestShellTableMatchesPerVoxelShell(t *testing.T) {
+	for _, scale := range []core.Scale{core.ScaleTest, core.ScaleSmall, core.ScaleDefault, core.ScaleLarge} {
+		if scale == core.ScaleLarge && testing.Short() {
+			continue
+		}
+		for _, seed := range []int64{1, 7, 77} {
+			in := prepare(t, scale, seed)
+			got := slices.Clone(in.density)
+			in.refSynthesize(seed)
+			for i, want := range in.density {
+				if math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("scale %s seed %d voxel %d: shell table %v, per-voxel shell %v", scale, seed, i, got[i], want)
+				}
 			}
 		}
 	}
