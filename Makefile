@@ -7,7 +7,8 @@
 #                     fault injection, retry contract, tracer), allocs gate
 #   make race         tier-2 gate: the whole suite under the Go race detector,
 #                     then the scheduling-dependent tests again: event order
-#                     x20, the ship loop's drain/heal/pacing/stop tests x10
+#                     x20, the ship loop's drain/heal/pacing/stop tests x10,
+#                     barnes's pooled-lock tree build against its reference x10
 #   make vet          just the concurrency-invariant analyzers (splash4-vet)
 #   make allocs-gate  re-measure every //sync4:zeroalloc annotation with
 #                     testing.AllocsPerRun (uncached)
@@ -49,10 +50,14 @@ allocs-gate:
 # little: race repeats it 20 times on top of the suite's single run. The
 # ship loop's drain and stop tests race a wake, a cancel and a repair pass
 # against fetches in flight, so they get 10 more passes for the same reason.
+# barnes hashes its tree cells onto a pool of 2048 locks, so unrelated cells
+# share a lock and a locking mistake shows only under some interleavings: its
+# bit-for-bit comparison with a sequential reference gets 10 more passes.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
 	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain)' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestDeterministicAcrossKits' ./internal/workloads/barnes/
 
 test:
 	$(GO) test ./...

@@ -1,6 +1,6 @@
 // Package barnes implements the BARNES application: Barnes-Hut hierarchical
 // N-body simulation. Each timestep bounds the bodies with a global min/max
-// reduction, builds a shared octree by concurrent insertion under per-node
+// reduction, builds a shared octree by concurrent insertion under pooled cell
 // locks, computes centers of mass bottom-up, evaluates forces with the
 // opening-angle criterion, and integrates with leapfrog.
 //
@@ -8,8 +8,14 @@
 // reduction (lock-protected extremes in Splash-3, CAS min/max in Splash-4),
 // tree nodes are allocated from a shared arena through a counter (lock+int
 // vs fetch-and-add — one of the paper's headline rewrites), insertion locks
-// come from the kit, and force-phase bodies are claimed in chunks from
-// another shared counter.
+// are a pool of 2048 kit locks that cells hash onto by arena index (SPLASH-2's
+// CellLock[MAXLOCK]), and force-phase bodies are claimed in chunks from
+// another shared counter. A chunk is a range of tree-order ranks, so
+// consecutive walks start from neighbouring bodies, as in SPLASH-2's
+// costzones order.
+//
+// Memory: the arena holds 8n nodes of 72 bytes each (9 MiB at default
+// scale); the lock pool is fixed at 2048 kit locks whatever the scale.
 //
 // Scale mapping (bodies/steps): test 512/2, small 4096/2, default 16384/2
 // (16K bodies is the Splash default input), large 65536/3.
@@ -19,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sync4"
@@ -28,7 +35,14 @@ const (
 	theta      = 0.7  // opening angle
 	eps        = 0.05 // gravitational softening
 	dt         = 0.025
-	forceChunk = 16 // bodies claimed per counter fetch in the force phase
+	forceChunk = 16   // bodies claimed per counter fetch in the force phase
+	maxLock    = 2048 // insertion lock pool size (SPLASH-2's MAXLOCK); a power of two
+
+	// comTol bounds Verify's root center-of-mass error, in box sizes. The
+	// tree's sum and the direct one differ only in rounding order: the
+	// direct sum's worst case, n·ε, stays below 1e-11 at every scale, and
+	// the measured error is below 1e-16.
+	comTol = 1e-9
 )
 
 // Benchmark is the BARNES descriptor.
@@ -62,14 +76,14 @@ func params(s core.Scale) (n, steps int) {
 
 // node is one octree cell. kind is immutable after construction: a leaf
 // holds exactly one body; an internal node holds eight child slots. Child
-// slots are only read or written while holding the node's lock during the
-// build phase; after the build barrier the tree is immutable and read
-// lock-free.
+// slots are only read or written while holding the node's pool lock,
+// locks[idx&(maxLock-1)], during the build phase; after the build barrier
+// the tree is immutable and read lock-free.
 type node struct {
-	lock     sync4.Locker
 	children [8]int32 // -1 = empty
 	body     int32    // leaf: body index; internal: -1
 	// Center-of-mass phase results:
+	count      int32 // bodies in the subtree
 	mass       float64
 	cx, cy, cz float64
 }
@@ -85,6 +99,7 @@ type instance struct {
 	arena    []node
 	arenaCtr sync4.Counter // next free arena slot (headline atomic in Splash-4)
 	root     int32
+	locks    [maxLock]sync4.Locker // cell idx is guarded by locks[idx&(maxLock-1)]
 
 	minX, minY, minZ sync4.MinMax    // bounding-box reductions (3 used for clarity)
 	forceCtr         []sync4.Counter // per-step force-task counters
@@ -133,8 +148,8 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 		keAcc:    make([]sync4.Accumulator, steps),
 		pAcc:     make([]sync4.Accumulator, 3*steps),
 	}
-	for i := range in.arena {
-		in.arena[i].lock = cfg.Kit.NewLock()
+	for i := range in.locks {
+		in.locks[i] = cfg.Kit.NewLock()
 	}
 	in.rootReady = make([]sync4.Flag, steps)
 	for s := 0; s < steps; s++ {
@@ -181,6 +196,7 @@ func (in *instance) Run() error {
 
 func (in *instance) worker(tid int) {
 	lo, hi := core.BlockRange(tid, in.threads, in.n)
+	var chunk [forceChunk]int32
 
 	for s := 0; s < in.steps; s++ {
 		// Phase 1: bounding-box reduction.
@@ -201,15 +217,7 @@ func (in *instance) worker(tid int) {
 		// flag (the original's SETPAUSE; the other threads WAITPAUSE
 		// instead of paying a full barrier), then everyone inserts.
 		if tid == 0 {
-			lox, hix := in.minX.Min(), in.minX.Max()
-			loy, hiy := in.minY.Min(), in.minY.Max()
-			loz, hiz := in.minZ.Min(), in.minZ.Max()
-			size := math.Max(hix-lox, math.Max(hiy-loy, hiz-loz))
-			in.boxMin = math.Min(lox, math.Min(loy, loz))
-			in.boxSize = size * 1.0001 // keep extremes strictly inside
-			in.arenaCtr.Store(0)
-			ri := in.alloc(-1)
-			in.root = ri
+			in.plantRoot()
 			in.rootReady[s].Set()
 		} else {
 			in.rootReady[s].Wait()
@@ -253,18 +261,16 @@ func (in *instance) worker(tid int) {
 		}
 		in.barrier.Wait()
 
-		// Phase 4: forces, claimed in chunks from the shared counter.
+		// Phase 4: forces, claimed in chunks of tree-order ranks from
+		// the shared counter.
 		for {
 			start := (in.forceCtr[s].Add(1) - 1) * forceChunk
 			if start >= int64(in.n) {
 				break
 			}
-			end := start + forceChunk
-			if end > int64(in.n) {
-				end = int64(in.n)
-			}
-			for b := start; b < end; b++ {
-				in.gravity(int32(b))
+			end := min(start+forceChunk, int64(in.n))
+			for _, b := range in.bodies(in.root, start, end, chunk[:0]) {
+				in.gravity(b)
 			}
 		}
 		in.barrier.Wait()
@@ -286,6 +292,19 @@ func (in *instance) worker(tid int) {
 		}
 		in.barrier.Wait()
 	}
+}
+
+// plantRoot publishes the cubic box that holds the reduced extremes, resets
+// the arena and allocates an empty root cell.
+func (in *instance) plantRoot() {
+	lox, hix := in.minX.Min(), in.minX.Max()
+	loy, hiy := in.minY.Min(), in.minY.Max()
+	loz, hiz := in.minZ.Min(), in.minZ.Max()
+	size := math.Max(hix-lox, math.Max(hiy-loy, hiz-loz))
+	in.boxMin = math.Min(lox, math.Min(loy, loz))
+	in.boxSize = size * 1.0001 // keep extremes strictly inside
+	in.arenaCtr.Store(0)
+	in.root = in.alloc(-1)
 }
 
 // alloc takes the next arena slot and initializes it as a leaf for body b
@@ -345,6 +364,8 @@ func childCenter(o int, cx, cy, cz, hw float64) (float64, float64, float64) {
 // node at a time. Child slots change only under their parent's lock, and a
 // node's leaf/internal kind is fixed at creation, so a slot read under the
 // lock stays valid after release: internal children never become leaves.
+// Unrelated cells can share a pool lock, which only serializes them: no
+// thread ever holds two locks, so aliasing cannot deadlock.
 // Coincident bodies would recurse forever, so depth overflow panics — the
 // generators never produce them, and a deadlocked barrier would be the
 // alternative.
@@ -360,12 +381,13 @@ func (in *instance) insert(b int32) {
 		}
 		nd := &in.arena[cur]
 		o := in.octant(b, cx, cy, cz)
-		nd.lock.Lock()
+		lock := in.locks[cur&(maxLock-1)]
+		lock.Lock()
 		c := nd.children[o]
 		switch {
 		case c < 0:
 			nd.children[o] = in.alloc(b)
-			nd.lock.Unlock()
+			lock.Unlock()
 			return
 		case in.arena[c].body >= 0:
 			// Occupied leaf: grow internal nodes under this slot
@@ -393,11 +415,11 @@ func (in *instance) insert(b int32) {
 				chw /= 2
 				pi = next
 			}
-			nd.lock.Unlock()
+			lock.Unlock()
 			return
 		default:
 			// Internal child: descend.
-			nd.lock.Unlock()
+			lock.Unlock()
 			cur = c
 			cx, cy, cz = childCenter(o, cx, cy, cz, hw)
 			hw /= 2
@@ -405,61 +427,87 @@ func (in *instance) insert(b int32) {
 	}
 }
 
-// computeCOM fills mass and center of mass for the subtree rooted at idx.
+// computeCOM fills count, mass and center of mass for the subtree rooted at
+// idx.
 func (in *instance) computeCOM(idx int32) {
 	nd := &in.arena[idx]
-	if nd.body >= 0 {
-		b := nd.body
-		nd.mass = in.mass[b]
-		nd.cx, nd.cy, nd.cz = in.x[3*b], in.x[3*b+1], in.x[3*b+2]
-		return
-	}
-	var m, mx, my, mz float64
-	for _, c := range nd.children {
-		if c < 0 {
-			continue
+	if nd.body < 0 {
+		for _, c := range nd.children {
+			if c >= 0 {
+				in.computeCOM(c)
+			}
 		}
-		in.computeCOM(c)
-		ch := &in.arena[c]
-		m += ch.mass
-		mx += ch.mass * ch.cx
-		my += ch.mass * ch.cy
-		mz += ch.mass * ch.cz
 	}
-	nd.mass = m
-	if m > 0 {
-		nd.cx, nd.cy, nd.cz = mx/m, my/m, mz/m
-	}
+	in.fold(nd)
 }
 
 // foldTop completes the center-of-mass pass for the top two levels, whose
 // deeper descendants were already folded by the distributed tasks.
 func (in *instance) foldTop(idx int32, depth int) {
 	nd := &in.arena[idx]
+	if nd.body < 0 && depth < 1 { // children of the root need their own fold first
+		for _, c := range nd.children {
+			if c >= 0 {
+				in.foldTop(c, depth+1)
+			}
+		}
+	}
+	in.fold(nd)
+}
+
+// fold sets nd's count, mass and center of mass from its body if it is a
+// leaf, or else from its children, which must already be folded.
+func (in *instance) fold(nd *node) {
 	if nd.body >= 0 {
 		b := nd.body
+		nd.count = 1
 		nd.mass = in.mass[b]
 		nd.cx, nd.cy, nd.cz = in.x[3*b], in.x[3*b+1], in.x[3*b+2]
 		return
 	}
+	var count int32
 	var m, mx, my, mz float64
 	for _, c := range nd.children {
 		if c < 0 {
 			continue
 		}
-		if depth < 1 { // children of the root need their own fold first
-			in.foldTop(c, depth+1)
-		}
 		ch := &in.arena[c]
+		count += ch.count
 		m += ch.mass
 		mx += ch.mass * ch.cx
 		my += ch.mass * ch.cy
 		mz += ch.mass * ch.cz
 	}
+	nd.count = count
 	nd.mass = m
 	if m > 0 {
 		nd.cx, nd.cy, nd.cz = mx/m, my/m, mz/m
 	}
+}
+
+// bodies appends to out the bodies of idx's subtree whose tree-order ranks
+// fall in [lo, hi), in tree order, by descending only into children whose
+// counts overlap the range. Tree order is the depth-first order over
+// children in octant order; it is a property of the body set and the box,
+// not of the insertion order, because the octree is.
+func (in *instance) bodies(idx int32, lo, hi int64, out []int32) []int32 {
+	nd := &in.arena[idx]
+	if nd.body >= 0 {
+		return append(out, nd.body)
+	}
+	for _, c := range nd.children {
+		if c < 0 {
+			continue
+		}
+		cnt := int64(in.arena[c].count)
+		if lo < cnt && hi > 0 {
+			out = in.bodies(c, max(lo, 0), min(hi, cnt), out)
+		}
+		if lo, hi = lo-cnt, hi-cnt; hi <= 0 {
+			break
+		}
+	}
+	return out
 }
 
 // gravity computes the acceleration on body b by walking the tree with the
@@ -543,15 +591,28 @@ func (in *instance) countBodies(idx int32) int {
 }
 
 // Verify implements core.Instance: the final tree must contain every body
-// exactly once, the root's center of mass must equal the direct one, and the
-// tree-walk accelerations must agree with the O(n^2) oracle to within the
-// opening-angle approximation error.
+// exactly once, and its root's count must say so; the root's mass must equal
+// the bodies' and its center of mass their mass-weighted mean to within
+// comTol of the box size; and the tree-walk accelerations must agree with
+// the O(n^2) oracle to within the opening-angle approximation error.
 func (in *instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("barnes: verify before run")
 	}
 	if got := in.countBodies(in.root); got != in.n {
 		return fmt.Errorf("barnes: tree holds %d bodies, want %d", got, in.n)
+	}
+	root := &in.arena[in.root]
+	if root.count != int32(in.n) {
+		return fmt.Errorf("barnes: root counts %d bodies, want %d", root.count, in.n)
+	}
+
+	// The tree, its centers of mass and acc belong to the positions before
+	// the last drift; rewind them for the comparisons.
+	saved := slices.Clone(in.x)
+	defer copy(in.x, saved)
+	for i := range in.x {
+		in.x[i] -= dt * in.v[i]
 	}
 
 	var m, mx, my, mz float64
@@ -561,21 +622,15 @@ func (in *instance) Verify() error {
 		my += in.mass[i] * in.x[3*i+1]
 		mz += in.mass[i] * in.x[3*i+2]
 	}
-	root := &in.arena[in.root]
-	// The tree was built from pre-update positions; rebuild expectation
-	// accordingly is complex, so compare mass only (exact) and sanity-
-	// bound the COM against the current cloud extent.
 	if math.Abs(root.mass-m) > 1e-9 {
 		return fmt.Errorf("barnes: root mass %g, want %g", root.mass, m)
 	}
-
-	// Accelerations in acc correspond to the positions before the last
-	// drift; rewind positions for the oracle comparison.
-	saved := make([]float64, len(in.x))
-	copy(saved, in.x)
-	for i := range in.x {
-		in.x[i] -= dt * in.v[i]
+	dx, dy, dz := root.cx-mx/m, root.cy-my/m, root.cz-mz/m
+	if d := math.Sqrt(dx*dx+dy*dy+dz*dz) / in.boxSize; d > comTol {
+		return fmt.Errorf("barnes: root center of mass (%g, %g, %g) is %.3g box sizes from the bodies' (%g, %g, %g)",
+			root.cx, root.cy, root.cz, d, mx/m, my/m, mz/m)
 	}
+
 	var relSum float64
 	samples := 32
 	if samples > in.n {
@@ -591,11 +646,9 @@ func (in *instance) Verify() error {
 		rel := diff / mag
 		relSum += rel
 		if rel > 0.25 {
-			copy(in.x, saved)
 			return fmt.Errorf("barnes: body %d acceleration off by %.1f%%", b, rel*100)
 		}
 	}
-	copy(in.x, saved)
 	if mean := relSum / float64(samples); mean > 0.05 {
 		return fmt.Errorf("barnes: mean acceleration error %.2f%% exceeds 5%%", mean*100)
 	}

@@ -9,6 +9,11 @@
 // linear. The tile queue is the original distributed work-pile collapsed to
 // one MPMC queue (lock-based ring vs Vyukov ring, per kit).
 //
+// The original culls rays through a hierarchical uniform grid; this tracer
+// keeps only the grid's root cell, a bounding box of the spheres: a ray that
+// misses it skips the sphere loop and tests only the ground plane. Rays
+// that never enter the box, such as most sky rays, are the ones that gain.
+//
 // Fidelity note (see DESIGN.md): the scene is procedural (sphere array over
 // a checkered plane, two point lights) instead of the Ardent model files
 // shipped with Splash, which we do not have. Rendering is a pure function of
@@ -94,6 +99,9 @@ type light struct {
 type scene struct {
 	spheres []sphere
 	lights  []light
+	// lo and hi bound every sphere, with a margin that keeps a hit the
+	// sphere loop computes inside the box despite rounding.
+	lo, hi vec
 }
 
 // instance is one prepared render.
@@ -153,6 +161,13 @@ func buildScene(seed int64) scene {
 			reflect: 0.5 * rng.Float64(),
 		})
 	}
+	sc.lo = vec{math.Inf(1), math.Inf(1), math.Inf(1)}
+	sc.hi = vec{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+	for _, s := range sc.spheres {
+		r := s.radius*(1+1e-3) + 1e-6
+		sc.lo = vec{min(sc.lo.x, s.center.x-r), min(sc.lo.y, s.center.y-r), min(sc.lo.z, s.center.z-r)}
+		sc.hi = vec{max(sc.hi.x, s.center.x+r), max(sc.hi.y, s.center.y+r), max(sc.hi.z, s.center.z+r)}
+	}
 	return sc
 }
 
@@ -199,24 +214,26 @@ func (in *instance) tracePixel(x, y int, ctr sync4.Counter) vec {
 }
 
 // intersect finds the nearest hit along the ray. kind: 0 none, 1 sphere,
-// 2 plane.
+// 2 plane. A ray that misses the scene's bound skips the sphere loop.
 func (in *instance) intersect(o, d vec) (kind, idx int, tHit float64) {
 	const inf = math.MaxFloat64
 	tHit = inf
-	for i := range in.scene.spheres {
-		s := &in.scene.spheres[i]
-		oc := o.sub(s.center)
-		b := oc.dot(d)
-		c := oc.dot(oc) - s.radius*s.radius
-		disc := b*b - c
-		if disc <= 0 {
-			continue
-		}
-		sq := math.Sqrt(disc)
-		for _, tc := range [2]float64{-b - sq, -b + sq} {
-			if tc > 1e-6 && tc < tHit {
-				tHit = tc
-				kind, idx = 1, i
+	if in.scene.mayHitSpheres(o, d) {
+		for i := range in.scene.spheres {
+			s := &in.scene.spheres[i]
+			oc := o.sub(s.center)
+			b := oc.dot(d)
+			c := oc.dot(oc) - s.radius*s.radius
+			disc := b*b - c
+			if disc <= 0 {
+				continue
+			}
+			sq := math.Sqrt(disc)
+			for _, tc := range [2]float64{-b - sq, -b + sq} {
+				if tc > 1e-6 && tc < tHit {
+					tHit = tc
+					kind, idx = 1, i
+				}
 			}
 		}
 	}
@@ -232,6 +249,21 @@ func (in *instance) intersect(o, d vec) (kind, idx int, tHit float64) {
 		return 0, 0, 0
 	}
 	return kind, idx, tHit
+}
+
+// mayHitSpheres is a slab test of the ray against the spheres' bound: it
+// returns false only if the ray never enters the box at t >= 0 (the one-cell
+// case of the original's uniform grid). An origin on a face with a zero
+// direction component gives 0·∞ = NaN, which min and max propagate and
+// every comparison fails on, so the ray counts as a hit.
+func (sc *scene) mayHitSpheres(o, d vec) bool {
+	ix, iy, iz := 1/d.x, 1/d.y, 1/d.z
+	x0, x1 := (sc.lo.x-o.x)*ix, (sc.hi.x-o.x)*ix
+	y0, y1 := (sc.lo.y-o.y)*iy, (sc.hi.y-o.y)*iy
+	z0, z1 := (sc.lo.z-o.z)*iz, (sc.hi.z-o.z)*iz
+	tNear := max(min(x0, x1), min(y0, y1), min(z0, z1))
+	tFar := min(max(x0, x1), max(y0, y1), max(z0, z1))
+	return !(tFar < tNear || tFar < 0)
 }
 
 // trace follows one ray (ticking the global counter) and returns its color.
