@@ -23,13 +23,14 @@ import (
 )
 
 // minAnnotations guards against the registry silently emptying (a scan bug
-// would otherwise pass this gate vacuously). The module has 78 annotations.
+// would otherwise pass this gate vacuously). The module has 77 annotations.
 const minAnnotations = 75
 
 // coveredElsewhere lists annotated unexported functions this package cannot
 // reach; each entry names the in-package test that owns the probe instead.
+// An entry that matches no annotation fails the gate, as does an unused
+// directProbes key.
 var coveredElsewhere = map[string]string{
-	"(*repro/internal/server.sseEncoder).encode": "internal/server TestSSEEncoderZeroAlloc",
 	// lane is Record's claim path; the Recorder probes below exercise it on
 	// their first per-thread Record call.
 	"(*repro/internal/trace.Recorder).lane": "probed via (*Recorder).Record",
@@ -175,6 +176,7 @@ func TestZeroAllocAnnotationsHold(t *testing.T) {
 
 	kitProbes := probeSets(t)
 	direct := directProbes()
+	used := make(map[string]bool)
 
 	for _, entry := range registry {
 		e, err := parseFullName(entry)
@@ -183,6 +185,7 @@ func TestZeroAllocAnnotationsHold(t *testing.T) {
 			continue
 		}
 		if why, ok := coveredElsewhere[e.full]; ok {
+			used[e.full] = true
 			t.Logf("%s: covered by %s", e.full, why)
 			continue
 		}
@@ -206,6 +209,7 @@ func TestZeroAllocAnnotationsHold(t *testing.T) {
 			}
 			if probes == nil {
 				probes = direct[e.typ+"."+e.method]
+				used[e.typ+"."+e.method] = true
 			}
 			if len(probes) == 0 {
 				t.Errorf("%s: no probe mapped — add one to kittest.ZeroAllocProbes, directProbes, or coveredElsewhere", name)
@@ -218,6 +222,16 @@ func TestZeroAllocAnnotationsHold(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+	for stale := range coveredElsewhere {
+		if !used[stale] {
+			t.Errorf("coveredElsewhere entry %s matches no //sync4:zeroalloc annotation; delete it", stale)
+		}
+	}
+	for stale := range direct {
+		if !used[stale] {
+			t.Errorf("directProbes key %s matches no //sync4:zeroalloc annotation; delete it", stale)
 		}
 	}
 }

@@ -14,6 +14,17 @@ import (
 // bad, and both recover on their own: the breaker by letting one trial
 // exchange through after a cooldown, the budget by refilling with time.
 
+// Breaker and budget sizing, the same on every node: the breaker judges
+// the failure rate of each peer's last breakerWindow outcomes once it
+// holds breakerMinSamples; the retry bucket holds retryBurst tokens and
+// mints one per retryRefill.
+const (
+	breakerWindow     = 20
+	breakerMinSamples = 5
+	retryBurst        = 10
+	retryRefill       = 500 * time.Millisecond
+)
+
 // Breaker states, exposed as splash4d_peer_breaker_state.
 const (
 	breakerClosed int32 = iota
@@ -58,10 +69,10 @@ type breaker struct {
 // newBreaker sizes the window and cooldown; zero values take defaults.
 func newBreaker(window, minSamples int, cooldown time.Duration) *breaker {
 	if window <= 0 {
-		window = 20
+		window = breakerWindow
 	}
 	if minSamples <= 0 {
-		minSamples = 5
+		minSamples = breakerMinSamples
 	}
 	if minSamples > window {
 		minSamples = window
@@ -177,10 +188,10 @@ type retryBudget struct {
 // token per refill interval; zero values take defaults.
 func newRetryBudget(burst int, refill time.Duration) *retryBudget {
 	if burst <= 0 {
-		burst = 10
+		burst = retryBurst
 	}
 	if refill <= 0 {
-		refill = 500 * time.Millisecond
+		refill = retryRefill
 	}
 	return &retryBudget{tokens: float64(burst), burst: float64(burst), refill: refill}
 }

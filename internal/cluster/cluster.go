@@ -74,12 +74,6 @@ type Config struct {
 	// Transport performs peer exchanges. Nil takes the production HTTP
 	// transport; tests substitute a netfaulty-decorated one.
 	Transport peernet.PeerTransport
-	// BreakerWindow is the per-peer outcome window the circuit breaker
-	// judges failure rate over. Default 20.
-	BreakerWindow int
-	// BreakerMinSamples is the minimum window fill before the breaker may
-	// trip. Default 5.
-	BreakerMinSamples int
 	// BreakerCooldown is how long an open breaker refuses exchanges before
 	// admitting a half-open trial. Default 2s.
 	BreakerCooldown time.Duration
@@ -89,11 +83,6 @@ type Config struct {
 	// RetryBaseDelay is the first backoff step; later steps double, with
 	// deterministic jitter. Default 25ms.
 	RetryBaseDelay time.Duration
-	// RetryBudget is the per-peer retry token bucket's burst size.
-	// Default 10.
-	RetryBudget int
-	// RetryBudgetRefill is the time to mint one retry token. Default 500ms.
-	RetryBudgetRefill time.Duration
 	// HedgeAfter is how long an idempotent read may go unanswered before a
 	// second identical request races it. Default 500ms; negative disables
 	// hedging.
@@ -138,12 +127,6 @@ func (c *Config) fill() error {
 	if c.Transport == nil {
 		c.Transport = peernet.NewHTTPTransport(c.HTTPTimeout)
 	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 20
-	}
-	if c.BreakerMinSamples <= 0 {
-		c.BreakerMinSamples = 5
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
@@ -152,12 +135,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 10
-	}
-	if c.RetryBudgetRefill <= 0 {
-		c.RetryBudgetRefill = 500 * time.Millisecond
 	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 500 * time.Millisecond
@@ -299,8 +276,8 @@ func New(cfg Config) (*Cluster, error) {
 	for id, base := range cfg.Peers {
 		c.peers[id] = &peer{
 			id: id, base: base, replica: resultstore.NewIndex(), wake: make(chan struct{}, 1),
-			brk:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
-			budget: newRetryBudget(cfg.RetryBudget, cfg.RetryBudgetRefill),
+			brk:    newBreaker(breakerWindow, breakerMinSamples, cfg.BreakerCooldown),
+			budget: newRetryBudget(retryBurst, retryRefill),
 		}
 		nodes = append(nodes, id)
 	}

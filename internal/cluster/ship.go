@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/cluster/peernet"
-	"repro/internal/resultstore"
 )
 
 // Journal shipping: each node tails every peer's result journal into a
@@ -30,8 +28,8 @@ import (
 // tolerances mirror the origin's own replay-on-open: a chunk boundary may
 // split a line (buffered in p.tail until the rest arrives), and a torn
 // fragment from an origin write fault may glue onto the next good line
-// (skipped and counted, exactly as the origin's replay skips it — both
-// sides converge on the same record set).
+// (skipped and counted by resultstore.Index.AddLine, the rule the origin's
+// replay applies too — both sides converge on the same record set).
 //
 // Pacing follows the work, not the clock. ShipInterval is only the idle
 // poll of a caught-up replica: the loop also starts on a wake (the prober
@@ -141,17 +139,10 @@ func (p *peer) ingest(chunk []byte) {
 		if i < 0 {
 			break
 		}
-		line := data[:i]
-		data = data[i+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec resultstore.Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
+		if p.replica.AddLine(data[:i]) {
 			p.skipped.Add(1) // torn fragment glued to a good write; origin replay skips it too
-			continue
 		}
-		p.replica.Add(rec)
+		data = data[i+1:]
 	}
 	p.tail = append(p.tail[:0], data...)
 }

@@ -1,6 +1,10 @@
 package resultstore
 
-import "sync"
+import (
+	"bytes"
+	"encoding/json"
+	"sync"
+)
 
 // Index is the queryable in-memory view of a result journal: records in
 // journal order plus a by-population lookup. The Store embeds one for its
@@ -24,6 +28,24 @@ func (ix *Index) Add(r Record) {
 	ix.mu.Lock()
 	ix.add(r)
 	ix.mu.Unlock()
+}
+
+// AddLine is the one journal-line rule, shared by replay-on-open and
+// cluster journal shipping: a blank line is ignored, a line that parses
+// into a record with an ID is added, and anything else (a torn fragment,
+// or one glued onto the next write) is reported as malformed for the
+// caller's skipped count.
+func (ix *Index) AddLine(line []byte) (malformed bool) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return false
+	}
+	var r Record
+	if err := json.Unmarshal(line, &r); err != nil || r.ID == "" {
+		return true
+	}
+	ix.Add(r)
+	return false
 }
 
 // Reset empties the index. Journal followers call it when the origin's

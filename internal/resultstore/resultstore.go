@@ -17,7 +17,6 @@ package resultstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -294,16 +293,9 @@ func (s *Store) replay() error {
 	sc := bufio.NewScanner(s.f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.ID == "" {
+		if s.ix.AddLine(sc.Bytes()) {
 			s.skipped++
-			continue
 		}
-		s.ix.Add(r)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("resultstore: reading journal: %w", err)

@@ -190,13 +190,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	// Channel capacity covers the worst case: every remaining event of a
 	// max-reps job arriving while this subscriber is between reads.
-	replay, ch, cancel := job.subscribe(s.cfg.MaxReps + 8)
+	replay, ch, cancel := job.subscribe(maxReps + 8)
 	defer cancel()
-	// One encoder per connection: after its buffer warms up, streaming an
-	// event allocates nothing (enforced by //sync4:zeroalloc on encode).
-	enc := newSSEEncoder()
 	for _, ev := range replay {
-		if err := writeSSE(w, enc, ev); err != nil {
+		if err := writeSSE(w, ev); err != nil {
 			return
 		}
 	}
@@ -211,7 +208,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-s.stop:
 			return
 		case ev := <-ch:
-			if err := writeSSE(w, enc, ev); err != nil {
+			if err := writeSSE(w, ev); err != nil {
 				return
 			}
 			fl.Flush()

@@ -60,17 +60,6 @@ func (s *Server) NormalizeSpec(sp *Spec) error { return s.validateSpec(sp) }
 // shipping endpoint (GET /peer/journal reads raw bytes from it).
 func (s *Server) Store() *resultstore.Store { return s.store }
 
-// EnsureRequestID returns the request's propagated X-Request-ID, minting
-// one when the header is missing or oversized — the forwarding path calls
-// this before a peer hop so the ID exists on both nodes' access logs.
-func (s *Server) EnsureRequestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-ID")
-	if id == "" || len(id) > maxRequestIDLen {
-		id = s.nextRequestID()
-	}
-	return id
-}
-
 // ObserveForward records one proxied exchange in this node's telemetry: a
 // kind:http access-log line — annotated with the peer that served the
 // hop — and the per-status-code request counter, the same trail a

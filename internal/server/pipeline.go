@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,6 +179,13 @@ var (
 	errDegraded = errors.New("result journal unavailable, serving reads only")
 )
 
+// Per-job caps: a job runs at most maxReps measured repetitions (and as
+// many warmup ones) on at most maxThreadsPerCPU×GOMAXPROCS threads.
+const (
+	maxReps          = 32
+	maxThreadsPerCPU = 4
+)
+
 // validateSpec normalizes sp in place and rejects unusable requests.
 func (s *Server) validateSpec(sp *Spec) error {
 	if _, err := s.cfg.Resolver(sp.Workload); err != nil {
@@ -195,20 +203,20 @@ func (s *Server) validateSpec(sp *Spec) error {
 	if sp.Threads <= 0 {
 		sp.Threads = 1
 	}
-	if sp.Threads > s.cfg.MaxThreads {
-		return fmt.Errorf("threads %d exceeds the server cap of %d", sp.Threads, s.cfg.MaxThreads)
+	if limit := maxThreadsPerCPU * runtime.GOMAXPROCS(0); sp.Threads > limit {
+		return fmt.Errorf("threads %d exceeds the server cap of %d", sp.Threads, limit)
 	}
 	if sp.Reps <= 0 {
 		sp.Reps = 1
 	}
-	if sp.Reps > s.cfg.MaxReps {
-		return fmt.Errorf("reps %d exceeds the server cap of %d", sp.Reps, s.cfg.MaxReps)
+	if sp.Reps > maxReps {
+		return fmt.Errorf("reps %d exceeds the server cap of %d", sp.Reps, maxReps)
 	}
 	if sp.Warmup < 0 {
 		sp.Warmup = 0
 	}
-	if sp.Warmup > s.cfg.MaxReps {
-		return fmt.Errorf("warmup %d exceeds the server cap of %d", sp.Warmup, s.cfg.MaxReps)
+	if sp.Warmup > maxReps {
+		return fmt.Errorf("warmup %d exceeds the server cap of %d", sp.Warmup, maxReps)
 	}
 	return nil
 }

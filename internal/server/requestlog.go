@@ -40,6 +40,26 @@ func requestInfo(r *http.Request) reqInfo {
 // replaced, not truncated, so IDs stay unambiguous.
 const maxRequestIDLen = 64
 
+// EnsureRequestID is the one rule for inbound request IDs. It keeps the
+// request's X-Request-ID when that is 1–64 bytes, each in 0x21–0x7e
+// (printable ASCII, no space), and mints q-<instance>-<seq> otherwise: the
+// ID reaches the access log, job views, SSE events and the journal, so
+// outside bytes are kept only when they are plain text in all of them.
+// withTelemetry calls it at arrival, and the cluster forwarder before a
+// peer hop so the ID exists on both nodes' access logs.
+func (s *Server) EnsureRequestID(r *http.Request) string {
+	id := r.Header.Get("X-Request-ID")
+	if id == "" || len(id) > maxRequestIDLen {
+		return s.nextRequestID()
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return s.nextRequestID()
+		}
+	}
+	return id
+}
+
 // nextRequestID mints a process-unique request ID: a per-process random
 // prefix plus a sequence number.
 func (s *Server) nextRequestID() string {
@@ -83,10 +103,7 @@ func (w *statusWriter) Flush() {
 func (s *Server) withTelemetry(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
-		if id == "" || len(id) > maxRequestIDLen {
-			id = s.nextRequestID()
-		}
+		id := s.EnsureRequestID(r)
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w}
 		ctx := context.WithValue(r.Context(), reqInfoKey{}, reqInfo{id: id, start: start})

@@ -58,11 +58,6 @@ type Config struct {
 	QueueCapacity int
 	// Workers is the execution pool size. Defaults to GOMAXPROCS.
 	Workers int
-	// MaxReps caps a single job's measured repetitions. Defaults to 32.
-	MaxReps int
-	// MaxThreads caps a single job's worker threads. Defaults to
-	// 4*GOMAXPROCS.
-	MaxThreads int
 	// TraceCapacity is the per-lane event-buffer capacity of each job's
 	// trace recorder. Defaults to 1<<16.
 	TraceCapacity int
@@ -93,12 +88,6 @@ func (c *Config) fill() error {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxReps <= 0 {
-		c.MaxReps = 32
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.TraceCapacity <= 0 {
 		c.TraceCapacity = 1 << 16

@@ -1,222 +1,20 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 )
 
-// sseEncoder renders events in text/event-stream framing with a hand-rolled
-// JSON payload, reusing one buffer across events so a subscriber connection
-// allocates nothing per event in steady state (ROADMAP item 2's zero-alloc
-// SSE encoding). The output matches encoding/json for the value shapes jobs
-// emit — strings, bools, integers, floats, []int64, []string and one level
-// of nested maps — including sorted map keys, so consumers cannot observe
-// the switch from json.Marshal. One connection owns one encoder; it is not
-// safe for concurrent use.
-type sseEncoder struct {
-	buf  []byte
-	keys []string
-}
-
-// newSSEEncoder returns an encoder with capacity for typical events
-// preallocated.
-func newSSEEncoder() *sseEncoder {
-	return &sseEncoder{buf: make([]byte, 0, 512), keys: make([]string, 0, 8)}
-}
-
-// encode renders one event into the encoder's buffer and returns the
-// rendered frame, valid until the next call.
-//
-//sync4:zeroalloc
-func (e *sseEncoder) encode(ev Event) []byte {
-	b := e.buf[:0]
-	b = append(b, "id: "...)
-	b = strconv.AppendInt(b, int64(ev.Seq), 10)
-	b = append(b, "\nevent: "...)
-	b = append(b, ev.Type...)
-	b = append(b, "\ndata: "...)
-	b = e.appendEventJSON(b, ev)
-	b = append(b, '\n', '\n')
-	e.buf = b
-	return b
-}
-
-// appendEventJSON appends the Event's JSON object, mirroring the struct's
-// encoding/json tags: {"seq":N,"type":"...","data":{...}} with data omitted
-// when empty.
-func (e *sseEncoder) appendEventJSON(b []byte, ev Event) []byte {
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendInt(b, int64(ev.Seq), 10)
-	b = append(b, `,"type":`...)
-	b = appendJSONString(b, ev.Type)
-	if len(ev.Data) > 0 {
-		b = append(b, `,"data":`...)
-		b = e.appendJSONValue(b, ev.Data, 0)
+// writeSSE writes one event in text/event-stream framing: its sequence
+// number as the id, its type as the event name, and the Event's
+// encoding/json form as the data line. A marshalling error is returned
+// before anything is written, and the caller ends the stream.
+func writeSSE(w io.Writer, ev Event) error {
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return err
 	}
-	return append(b, '}')
-}
-
-// maxSSEDepth bounds nested map recursion; events are flat or one level
-// deep, anything deeper is a programming error rendered as a placeholder.
-const maxSSEDepth = 4
-
-// appendJSONValue appends one JSON value. Unsupported dynamic types render
-// as the "<unsupported>" string rather than panicking mid-stream: the event
-// stream is diagnostics, and a placeholder beats tearing down the
-// subscriber.
-func (e *sseEncoder) appendJSONValue(b []byte, v any, depth int) []byte {
-	switch v := v.(type) {
-	case nil:
-		return append(b, "null"...)
-	case string:
-		return appendJSONString(b, v)
-	case bool:
-		return strconv.AppendBool(b, v)
-	case int:
-		return strconv.AppendInt(b, int64(v), 10)
-	case int32:
-		return strconv.AppendInt(b, int64(v), 10)
-	case int64:
-		return strconv.AppendInt(b, v, 10)
-	case uint64:
-		return strconv.AppendUint(b, v, 10)
-	case float64:
-		return appendJSONFloat(b, v)
-	case []int64:
-		b = append(b, '[')
-		for i, n := range v {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, n, 10)
-		}
-		return append(b, ']')
-	case []string:
-		b = append(b, '[')
-		for i, s := range v {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, s)
-		}
-		return append(b, ']')
-	case map[string]any:
-		if depth >= maxSSEDepth {
-			return appendJSONString(b, "<unsupported>")
-		}
-		return e.appendJSONMap(b, v, depth)
-	default:
-		return appendJSONString(b, "<unsupported>")
-	}
-}
-
-// appendJSONMap appends an object with keys in sorted order, matching
-// encoding/json's deterministic map encoding. The key slice is reused
-// across events; sorting is insertion sort (maps here have a handful of
-// keys).
-func (e *sseEncoder) appendJSONMap(b []byte, m map[string]any, depth int) []byte {
-	keys := e.keys[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	e.keys = keys
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, k)
-		b = append(b, ':')
-		b = e.appendJSONValue(b, m[k], depth+1)
-	}
-	return append(b, '}')
-}
-
-// appendJSONFloat matches encoding/json's float formatting: shortest
-// representation, 'f' form for magnitudes in [1e-6, 1e21), otherwise 'e'
-// form with the exponent's leading zero trimmed (1e-9 renders "1e-09" under
-// strconv but "1e-9" under encoding/json).
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		// encoding/json errors on these; the stream placeholder keeps going.
-		return appendJSONString(b, "<unsupported>")
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	start := len(b)
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Trim "e+09" / "e-09" to "e+9" / "e-9" the way encoding/json does.
-		tail := b[start:]
-		if n := len(tail); n >= 4 && tail[n-4] == 'e' && tail[n-2] == '0' {
-			tail[n-2] = tail[n-1]
-			b = b[:len(b)-1]
-		}
-	}
-	return b
-}
-
-// jsonSafe marks the bytes that pass through a JSON string unescaped. Unlike
-// encoding/json's default encoder we do not HTML-escape < > &: this stream
-// is consumed as text/event-stream, never inlined into HTML.
-var jsonSafe = [256]bool{}
-
-func init() {
-	for c := 0x20; c < 0x7f; c++ {
-		jsonSafe[c] = true
-	}
-	jsonSafe['"'] = false
-	jsonSafe['\\'] = false
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a quoted JSON string. Bytes >= 0x80 are
-// copied through verbatim (the payloads are UTF-8 already), control
-// characters and quotes are escaped per RFC 8259.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 0x80 || jsonSafe[c]:
-			b = append(b, c)
-		case c == '"':
-			b = append(b, '\\', '"')
-		case c == '\\':
-			b = append(b, '\\', '\\')
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		default:
-			b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		}
-	}
-	return append(b, '"')
-}
-
-// writeSSE renders one event through enc and writes the frame.
-func writeSSE(w io.Writer, enc *sseEncoder, ev Event) error {
-	_, err := w.Write(enc.encode(ev))
+	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
 	return err
-}
-
-// sseFrameString is a test hook: the frame for one event as a string.
-func sseFrameString(ev Event) string {
-	var sb strings.Builder
-	sb.Write(newSSEEncoder().encode(ev))
-	return sb.String()
 }

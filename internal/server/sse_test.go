@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -60,102 +58,27 @@ func sseCorpus() []Event {
 	}
 }
 
-// TestSSEEncoderMatchesJSON checks the hand-rolled payload is semantically
-// identical to encoding/json's for every corpus event: same frame shape,
-// and a payload that unmarshals to the same value. Byte equality is also
-// required except where encoding/json HTML-escapes (none of the corpus
-// triggers it) — sorted keys make the output deterministic.
+// TestSSEEncoderMatchesJSON checks writeSSE's frame for every corpus event:
+// id, event name and one data line holding exactly json.Marshal(ev).
 func TestSSEEncoderMatchesJSON(t *testing.T) {
 	for _, ev := range sseCorpus() {
-		frame := sseFrameString(ev)
-		wantPayload, err := json.Marshal(ev)
+		var sb strings.Builder
+		if err := writeSSE(&sb, ev); err != nil {
+			t.Fatalf("event %d: %v", ev.Seq, err)
+		}
+		frame := sb.String()
+		want, err := json.Marshal(ev)
 		if err != nil {
 			t.Fatalf("json.Marshal(%+v): %v", ev, err)
 		}
-		wantFrame := fmt.Sprintf("id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, wantPayload)
-
-		// Semantic equality of the data payload.
-		gotPayload, ok := strings.CutPrefix(frame, fmt.Sprintf("id: %d\nevent: %s\ndata: ", ev.Seq, ev.Type))
-		if !ok || !strings.HasSuffix(gotPayload, "\n\n") {
+		payload, ok := strings.CutPrefix(frame, fmt.Sprintf("id: %d\nevent: %s\ndata: ", ev.Seq, ev.Type))
+		payload, ok2 := strings.CutSuffix(payload, "\n\n")
+		if !ok || !ok2 || strings.Contains(payload, "\n") {
 			t.Fatalf("event %d: malformed frame %q", ev.Seq, frame)
 		}
-		gotPayload = strings.TrimSuffix(gotPayload, "\n\n")
-		var gotVal, wantVal any
-		if err := json.Unmarshal([]byte(gotPayload), &gotVal); err != nil {
-			t.Fatalf("event %d: payload %q is not valid JSON: %v", ev.Seq, gotPayload, err)
+		if payload != string(want) {
+			t.Errorf("event %d payload:\n got: %s\nwant: %s", ev.Seq, payload, want)
 		}
-		if err := json.Unmarshal(wantPayload, &wantVal); err != nil {
-			t.Fatalf("event %d: reference payload: %v", ev.Seq, err)
-		}
-		if !reflect.DeepEqual(gotVal, wantVal) {
-			t.Errorf("event %d payload mismatch:\n got: %s\nwant: %s", ev.Seq, gotPayload, wantPayload)
-		}
-		// Byte-for-byte framing equality for the corpus (no HTML-escaping
-		// triggers in it, so this should hold exactly).
-		if frame != wantFrame {
-			t.Errorf("event %d frame mismatch:\n got: %q\nwant: %q", ev.Seq, frame, wantFrame)
-		}
-	}
-}
-
-// TestSSEEncoderUnsupported pins the graceful-degradation contract: unknown
-// dynamic types render as a placeholder string instead of panicking.
-func TestSSEEncoderUnsupported(t *testing.T) {
-	frame := sseFrameString(Event{Seq: 1, Type: "x", Data: map[string]any{"ch": make(chan int)}})
-	if !strings.Contains(frame, `"ch":"<unsupported>"`) {
-		t.Fatalf("unsupported value not rendered as placeholder: %q", frame)
-	}
-}
-
-// TestSSEEncoderZeroAlloc is the dynamic half of the //sync4:zeroalloc
-// annotation on encode: after warm-up, encoding a steady stream of events
-// allocates nothing. (internal/allocgate cross-checks that this test exists
-// for the annotation it cannot probe from outside the package.)
-func TestSSEEncoderZeroAlloc(t *testing.T) {
-	enc := newSSEEncoder()
-	events := sseCorpus()
-	// Warm the buffer past the largest event.
-	for _, ev := range events {
-		enc.encode(ev)
-	}
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		enc.encode(events[i%len(events)])
-		i++
-	})
-	if avg != 0 {
-		t.Fatalf("sseEncoder.encode allocates %.1f times per event; want 0", avg)
-	}
-}
-
-// BenchmarkSSEEncode measures the streaming hot path as shipped; the
-// stdlib variant below replays the pre-encoder implementation
-// (json.Marshal + fmt.Fprintf per event) for the before/after numbers in
-// EXPERIMENTS.md.
-func BenchmarkSSEEncode(b *testing.B) {
-	enc := newSSEEncoder()
-	events := sseCorpus()
-	for _, ev := range events {
-		enc.encode(ev)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.encode(events[i%len(events)])
-	}
-}
-
-func BenchmarkSSEEncodeStdlibJSON(b *testing.B) {
-	events := sseCorpus()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := events[i%len(events)]
-		payload, err := json.Marshal(ev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fmt.Fprintf(io.Discard, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, payload)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -178,54 +179,110 @@ func TestSpanChainBothKits(t *testing.T) {
 	}
 }
 
-// TestRequestIDInbound checks that a caller-supplied X-Request-ID is
-// honored end to end: echoed in the response, attached to the job, and
-// visible in the SSE progress events.
+// TestRequestIDInbound checks the one inbound-ID rule end to end: an
+// X-Request-ID of 1–64 bytes in 0x21–0x7e is echoed in the response,
+// attached to the job and carried by its SSE events; anything else is
+// replaced by a minted q-<instance>-<seq> ID, which travels the same way.
 func TestRequestIDInbound(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1, QueueCapacity: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const want = "trace-abc-123"
-	req, err := http.NewRequest("POST", ts.URL+"/runs", strings.NewReader(
-		`{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","seed":7,"reps":1}`))
+	for i, tc := range []struct {
+		inbound string
+		kept    bool
+	}{
+		{"trace-abc-123", true},
+		{"id\xff", false},
+		{"a b", false},
+		{strings.Repeat("x", maxRequestIDLen+1), false},
+	} {
+		req, err := http.NewRequest("POST", ts.URL+"/runs", strings.NewReader(fmt.Sprintf(
+			`{"workload":"fft","kit":"lockfree","threads":1,"scale":"test","seed":%d,"reps":1}`, 7+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-ID", tc.inbound)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := resp.Header.Get("X-Request-ID")
+		if kept := want == tc.inbound; kept != tc.kept || (!kept && !strings.HasPrefix(want, "q-")) {
+			t.Fatalf("inbound X-Request-ID %q echoed as %q; kept = %v, want %v", tc.inbound, want, kept, tc.kept)
+		}
+		if body["request_id"] != want {
+			t.Fatalf("inbound %q: job request_id = %v, want %q", tc.inbound, body["request_id"], want)
+		}
+		id := body["id"].(string)
+		waitStatus(t, ts, id, "done")
+
+		// The queued event replays with the request ID attached.
+		sseResp, err := http.Get(ts.URL + "/runs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := io.ReadAll(sseResp.Body)
+		sseResp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(stream, []byte(want)) {
+			t.Errorf("SSE stream does not carry request ID %q:\n%s", want, stream)
+		}
+	}
+}
+
+// TestAccessLogValidJSONForAnyPath sends requests whose path or request ID
+// holds bytes that are not JSON text as they stand — a control character,
+// invalid UTF-8 — and requires every access-log line to be valid JSON,
+// with the control-character path decoding back to the request's path.
+func TestAccessLogValidJSONForAnyPath(t *testing.T) {
+	logBuf := &syncBuffer{}
+	accessLog := telemetry.NewAccessLog(logBuf)
+	s, _ := newTestServer(t, Config{Workers: 1, QueueCapacity: 4, AccessLog: accessLog})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, rawPath := range []string{"/runs/%07", "/runs/%ff"} {
+		resp, err := http.Get(ts.URL + rawPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	req, err := http.NewRequest("GET", ts.URL+"/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", want)
+	req.Header.Set("X-Request-ID", "id\xff")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-ID"); got != want {
-		t.Fatalf("echoed X-Request-ID = %q, want %q", got, want)
+	if err := accessLog.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if body["request_id"] != want {
-		t.Fatalf("job request_id = %v, want %q", body["request_id"], want)
-	}
-	id := body["id"].(string)
-	waitStatus(t, ts, id, "done")
 
-	// The queued event replays with the request ID attached.
-	sseReq, err := http.NewRequest("GET", ts.URL+"/runs/"+id+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("access log holds %d lines, want 3:\n%s", len(lines), logBuf)
 	}
-	sseResp, err := http.DefaultClient.Do(sseReq)
-	if err != nil {
-		t.Fatal(err)
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Errorf("access-log line is not JSON: %s", line)
+		}
 	}
-	defer sseResp.Body.Close()
-	stream := make([]byte, 1<<16)
-	n, _ := sseResp.Body.Read(stream)
-	if !bytes.Contains(stream[:n], []byte(want)) {
-		t.Errorf("SSE stream does not carry request ID %q:\n%s", want, stream[:n])
+	var first struct{ Path string }
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil || first.Path != "/runs/\a" {
+		t.Errorf("GET /runs/%%07 logged path %q (%v), want %q", first.Path, err, "/runs/\a")
 	}
 }
 

@@ -2,10 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -27,17 +27,18 @@ import (
 // An "http" line is written when a request's response completes; a "job"
 // line when an accepted job reaches its terminal state, carrying the full
 // lifecycle span chain so the access log alone reconstructs where every
-// nanosecond of the job went. Lines are rendered into a buffer that the
-// log reuses across entries, under one mutex, so concurrent handlers
-// interleave whole lines, never bytes.
+// nanosecond of the job went.
 //
-// Field order inside a line is fixed (the encoder is hand-rolled, not
-// map-based), which keeps the log diffable and greppable.
+// Lines are written by encoding/json, so every line is valid JSON whatever
+// bytes a path or header carried. Field order is the entry struct's, which
+// keeps the log diffable and greppable; HTML characters are not escaped.
+// One mutex covers encoding and writing, so concurrent handlers interleave
+// whole lines, never bytes.
 type AccessLog struct {
 	mu   sync.Mutex
 	w    *bufio.Writer
+	enc  *json.Encoder
 	c    io.Closer
-	buf  []byte
 	errs int // write errors, surfaced by Err
 	err  error
 }
@@ -45,7 +46,10 @@ type AccessLog struct {
 // NewAccessLog logs to w. The caller retains ownership of w; Close only
 // flushes.
 func NewAccessLog(w io.Writer) *AccessLog {
-	return &AccessLog{w: bufio.NewWriterSize(w, 32*1024), buf: make([]byte, 0, 1024)}
+	bw := bufio.NewWriterSize(w, 32*1024)
+	enc := json.NewEncoder(bw)
+	enc.SetEscapeHTML(false)
+	return &AccessLog{w: bw, enc: enc}
 }
 
 // OpenAccessLog appends to the JSONL file at path, creating it if needed.
@@ -61,34 +65,34 @@ func OpenAccessLog(path string) (*AccessLog, error) {
 
 // HTTPEntry is one completed HTTP exchange.
 type HTTPEntry struct {
-	Time      time.Time
-	RequestID string
-	Method    string
-	Path      string
+	Time      time.Time `json:"ts"`
+	RequestID string    `json:"request_id"`
+	Method    string    `json:"method"`
+	Path      string    `json:"path"`
 	// Peer names the cluster peer that actually served the exchange when
 	// this node proxied it there; empty for locally-served requests.
-	Peer   string
-	Status int
-	DurNS  int64
-	Bytes  int64
+	Peer   string `json:"peer,omitempty"`
+	Status int    `json:"status"`
+	DurNS  int64  `json:"dur_ns"`
+	Bytes  int64  `json:"bytes"`
 }
 
 // JobEntry is one terminal job with its lifecycle span chain.
 type JobEntry struct {
-	Time      time.Time
-	RequestID string
-	JobID     string
-	Workload  string
-	Kit       string
+	Time      time.Time `json:"ts"`
+	RequestID string    `json:"request_id"`
+	JobID     string    `json:"job_id"`
+	Workload  string    `json:"workload"`
+	Kit       string    `json:"kit"`
 	// Node is the cluster node that owns the job (journaled its record);
 	// RanOn is the node that executed it when work stealing moved the
 	// repetitions elsewhere. Both empty on single-node deployments; a
 	// stolen job's line names both nodes.
-	Node   string
-	RanOn  string
-	Status string // "done" or "error"
-	WallNS int64
-	Spans  []Span
+	Node   string `json:"node,omitempty"`
+	RanOn  string `json:"ran_on,omitempty"`
+	Status string `json:"status"` // "done" or "error"
+	WallNS int64  `json:"wall_ns"`
+	Spans  []Span `json:"spans"`
 }
 
 // HTTP appends one http line. Write errors are counted, not returned: the
@@ -97,30 +101,11 @@ func (l *AccessLog) HTTP(e HTTPEntry) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	b := l.buf[:0]
-	b = append(b, `{"kind":"http","ts":`...)
-	b = appendQuotedTime(b, e.Time)
-	b = append(b, `,"request_id":`...)
-	b = strconv.AppendQuote(b, e.RequestID)
-	b = append(b, `,"method":`...)
-	b = strconv.AppendQuote(b, e.Method)
-	b = append(b, `,"path":`...)
-	b = strconv.AppendQuote(b, e.Path)
-	if e.Peer != "" {
-		b = append(b, `,"peer":`...)
-		b = strconv.AppendQuote(b, e.Peer)
-	}
-	b = append(b, `,"status":`...)
-	b = strconv.AppendInt(b, int64(e.Status), 10)
-	b = append(b, `,"dur_ns":`...)
-	b = strconv.AppendInt(b, e.DurNS, 10)
-	b = append(b, `,"bytes":`...)
-	b = strconv.AppendInt(b, e.Bytes, 10)
-	b = append(b, '}', '\n')
-	l.write(b)
-	l.buf = b[:0]
-	l.mu.Unlock()
+	e.Time = e.Time.UTC()
+	l.write(struct {
+		Kind string `json:"kind"`
+		HTTPEntry
+	}{"http", e})
 }
 
 // Job appends one job line.
@@ -128,76 +113,21 @@ func (l *AccessLog) Job(e JobEntry) {
 	if l == nil {
 		return
 	}
+	e.Time = e.Time.UTC()
+	if e.Spans == nil {
+		e.Spans = []Span{} // an empty chain renders as [], not null
+	}
+	l.write(struct {
+		Kind string `json:"kind"`
+		JobEntry
+	}{"job", e})
+}
+
+// write encodes one line under mu.
+func (l *AccessLog) write(v any) {
 	l.mu.Lock()
-	b := l.buf[:0]
-	b = append(b, `{"kind":"job","ts":`...)
-	b = appendQuotedTime(b, e.Time)
-	b = append(b, `,"request_id":`...)
-	b = strconv.AppendQuote(b, e.RequestID)
-	b = append(b, `,"job_id":`...)
-	b = strconv.AppendQuote(b, e.JobID)
-	b = append(b, `,"workload":`...)
-	b = strconv.AppendQuote(b, e.Workload)
-	b = append(b, `,"kit":`...)
-	b = strconv.AppendQuote(b, e.Kit)
-	if e.Node != "" {
-		b = append(b, `,"node":`...)
-		b = strconv.AppendQuote(b, e.Node)
-	}
-	if e.RanOn != "" {
-		b = append(b, `,"ran_on":`...)
-		b = strconv.AppendQuote(b, e.RanOn)
-	}
-	b = append(b, `,"status":`...)
-	b = strconv.AppendQuote(b, e.Status)
-	b = append(b, `,"wall_ns":`...)
-	b = strconv.AppendInt(b, e.WallNS, 10)
-	b = append(b, `,"spans":[`...)
-	for i, s := range e.Spans {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendSpanJSON(b, s)
-	}
-	b = append(b, ']', '}', '\n')
-	l.write(b)
-	l.buf = b[:0]
-	l.mu.Unlock()
-}
-
-// appendSpanJSON renders one span exactly like Span.MarshalJSON.
-func appendSpanJSON(b []byte, s Span) []byte {
-	b = append(b, `{"phase":`...)
-	b = strconv.AppendQuote(b, s.Phase.String())
-	if s.Phase == PhaseRep {
-		b = append(b, `,"rep":`...)
-		b = strconv.AppendInt(b, int64(s.Rep), 10)
-	}
-	b = append(b, `,"start_ns":`...)
-	b = strconv.AppendInt(b, s.Start, 10)
-	b = append(b, `,"end_ns":`...)
-	b = strconv.AppendInt(b, s.End, 10)
-	if s.TraceEvents != 0 {
-		b = append(b, `,"trace_events":`...)
-		b = strconv.AppendInt(b, s.TraceEvents, 10)
-	}
-	if s.BlockedNS != 0 {
-		b = append(b, `,"blocked_ns":`...)
-		b = strconv.AppendInt(b, s.BlockedNS, 10)
-	}
-	return append(b, '}')
-}
-
-// appendQuotedTime renders t as a quoted RFC3339Nano UTC timestamp.
-func appendQuotedTime(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	b = t.UTC().AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
-}
-
-// write sends one rendered line. Caller holds mu.
-func (l *AccessLog) write(line []byte) {
-	if _, err := l.w.Write(line); err != nil {
+	defer l.mu.Unlock()
+	if err := l.enc.Encode(v); err != nil {
 		l.errs++
 		l.err = err
 	}

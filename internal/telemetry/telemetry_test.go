@@ -185,51 +185,36 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestAccessLogLines: every line is standalone JSON with the fixed schema,
-// and both entry kinds coexist in one stream.
+// TestAccessLogLines pins the exact bytes of both entry kinds: an http
+// line without and with peer, a stolen job's line with node and ran_on,
+// and a job whose empty chain still renders as "spans":[]. Timestamps are
+// written in UTC whatever zone the entry carries, and <>& are not escaped.
 func TestAccessLogLines(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAccessLog(&buf)
 	ts := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
-	l.HTTP(HTTPEntry{Time: ts, RequestID: "req-1", Method: "POST", Path: "/runs",
+	l.HTTP(HTTPEntry{Time: ts, RequestID: "req-<1>&", Method: "POST", Path: "/runs",
 		Status: 202, DurNS: 12345, Bytes: 99})
-	l.Job(JobEntry{Time: ts, RequestID: "req-1", JobID: "r-1", Workload: "fft",
-		Kit: "lockfree", Status: "done", WallNS: 5000,
+	l.HTTP(HTTPEntry{Time: time.Date(2026, 8, 8, 14, 0, 0, 5000, time.FixedZone("", 7200)),
+		RequestID: "q-1a2b3c4d-7", Method: "GET", Path: "/runs/r-b-1", Peer: "b",
+		Status: 200, DurNS: 1, Bytes: 2})
+	l.Job(JobEntry{Time: ts, RequestID: "req-2", JobID: "r-a-3", Workload: "fft",
+		Kit: "classic", Node: "a", RanOn: "b", Status: "done", WallNS: 5000,
 		Spans: []Span{{Phase: PhaseAdmission, Rep: -1, Start: 0, End: 10},
-			{Phase: PhaseRep, Rep: 0, Start: 10, End: 5000, TraceEvents: 3}}})
+			{Phase: PhaseRep, Rep: 0, Start: 10, End: 5000, TraceEvents: 3, BlockedNS: 7}}})
+	l.Job(JobEntry{Time: ts, RequestID: "req-3", JobID: "r-4", Workload: "radix",
+		Kit: "lockfree", Status: "error"})
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	want := []string{
+		`{"kind":"http","ts":"2026-08-08T12:00:00.123456789Z","request_id":"req-<1>&","method":"POST","path":"/runs","status":202,"dur_ns":12345,"bytes":99}`,
+		`{"kind":"http","ts":"2026-08-08T12:00:00.000005Z","request_id":"q-1a2b3c4d-7","method":"GET","path":"/runs/r-b-1","peer":"b","status":200,"dur_ns":1,"bytes":2}`,
+		`{"kind":"job","ts":"2026-08-08T12:00:00.123456789Z","request_id":"req-2","job_id":"r-a-3","workload":"fft","kit":"classic","node":"a","ran_on":"b","status":"done","wall_ns":5000,"spans":[{"phase":"admission","start_ns":0,"end_ns":10},{"phase":"rep","rep":0,"start_ns":10,"end_ns":5000,"trace_events":3,"blocked_ns":7}]}`,
+		`{"kind":"job","ts":"2026-08-08T12:00:00.123456789Z","request_id":"req-3","job_id":"r-4","workload":"radix","kit":"lockfree","status":"error","wall_ns":0,"spans":[]}`,
 	}
-	var httpLine map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &httpLine); err != nil {
-		t.Fatalf("http line is not JSON: %v\n%s", err, lines[0])
-	}
-	for k, want := range map[string]any{
-		"kind": "http", "request_id": "req-1", "method": "POST", "path": "/runs",
-		"status": float64(202), "dur_ns": float64(12345), "bytes": float64(99),
-	} {
-		if httpLine[k] != want {
-			t.Errorf("http line %s = %v, want %v", k, httpLine[k], want)
-		}
-	}
-	var jobLine struct {
-		Kind      string `json:"kind"`
-		RequestID string `json:"request_id"`
-		JobID     string `json:"job_id"`
-		Spans     []Span `json:"spans"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &jobLine); err != nil {
-		t.Fatalf("job line is not JSON: %v\n%s", err, lines[1])
-	}
-	if jobLine.Kind != "job" || jobLine.RequestID != "req-1" || jobLine.JobID != "r-1" {
-		t.Fatalf("job line fields wrong: %+v", jobLine)
-	}
-	if len(jobLine.Spans) != 2 || jobLine.Spans[1].TraceEvents != 3 {
-		t.Fatalf("job line spans wrong: %+v", jobLine.Spans)
+	if got := buf.String(); got != strings.Join(want, "\n")+"\n" {
+		t.Fatalf("access log bytes:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 	if n, err := l.Err(); n != 0 || err != nil {
 		t.Fatalf("unexpected write errors: %d %v", n, err)
