@@ -8,7 +8,9 @@
 #   make race         tier-2 gate: the whole suite under the Go race detector,
 #                     then the scheduling-dependent tests again: event order
 #                     x20, the ship loop's drain/heal/pacing/stop tests x10,
-#                     barnes's pooled-lock tree build against its reference x10
+#                     barnes's pooled-lock tree build against its reference x10,
+#                     the lu, lu-contiguous, cholesky and multigrid kernels'
+#                     bit-identity tests x5 (-short: test and small scale)
 #   make vet          just the concurrency-invariant analyzers (splash4-vet)
 #   make allocs-gate  re-measure every //sync4:zeroalloc annotation with
 #                     testing.AllocsPerRun (uncached)
@@ -53,11 +55,17 @@ allocs-gate:
 # barnes hashes its tree cells onto a pool of 2048 locks, so unrelated cells
 # share a lock and a locking mistake shows only under some interleavings: its
 # bit-for-bit comparison with a sequential reference gets 10 more passes.
+# The register-tiled block updates and the multigrid restriction's per-thread
+# rolling residual rows are where a scheduling-dependent mistake would hide
+# (a tile edge shared by two owners, a row another thread overwrites), so
+# their bit-for-bit comparisons with sequential references get 5 more passes
+# at the test and small scales.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
 	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain)' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestDeterministicAcrossKits' ./internal/workloads/barnes/
+	$(GO) test -race -short -count=5 -run 'TestBitIdenticalToReference' ./internal/workloads/lu/ ./internal/workloads/lucont/ ./internal/workloads/cholesky/ ./internal/workloads/mgcommon/
 
 test:
 	$(GO) test ./...

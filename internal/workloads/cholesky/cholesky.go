@@ -11,6 +11,10 @@
 // barriers between the per-iteration phases — while replacing the sparse
 // input with a synthetic SPD matrix.
 //
+// The trailing update computes eight dot products at once (two rows of one
+// block against four of the other), each summed in the same order as one
+// dot product at a time, so the factor is the same bits.
+//
 // Scale mapping: test n=128/B=16, small n=256/B=16, default n=512/B=16,
 // large n=1024/B=32.
 package cholesky
@@ -59,6 +63,9 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 		return nil, err
 	}
 	n, block := sizes(cfg.Scale)
+	if block%4 != 0 {
+		return nil, fmt.Errorf("cholesky: block %d is not a whole number of 2x4 update tiles", block)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	inst := &instance{
 		threads: cfg.Threads,
@@ -193,38 +200,69 @@ func (in *instance) solveBlock(i0, k0 int) {
 	}
 }
 
-// updateBlock applies A[i0][j0] -= L[i0][k0] * L[j0][k0]^T.
+// updateBlock applies A[i0][j0] -= L[i0][k0] * L[j0][k0]^T. It computes
+// eight dot products together, rows i, i+1 of L[i0] against rows j..j+3 of
+// L[j0], so eight independent add chains share each load; every sum still
+// runs over r = 0..bs-1 in order, so the result is the same bits as one dot
+// product at a time. Prepare guarantees bs % 4 == 0.
 func (in *instance) updateBlock(i0, j0, k0 int) {
 	n, bs := in.n, in.block
-	for i := 0; i < bs; i++ {
-		li := in.a[(i0+i)*n+k0 : (i0+i)*n+k0+bs]
-		arow := in.a[(i0+i)*n+j0 : (i0+i)*n+j0+bs]
-		for j := 0; j < bs; j++ {
-			lj := in.a[(j0+j)*n+k0 : (j0+j)*n+k0+bs]
-			var sum float64
-			for r := 0; r < bs; r++ {
-				sum += li[r] * lj[r]
+	for i := 0; i < bs; i += 2 {
+		li0 := in.a[(i0+i)*n+k0 : (i0+i)*n+k0+bs]
+		li1 := in.a[(i0+i+1)*n+k0 : (i0+i+1)*n+k0+bs]
+		a0 := in.a[(i0+i)*n+j0 : (i0+i)*n+j0+bs]
+		a1 := in.a[(i0+i+1)*n+j0 : (i0+i+1)*n+j0+bs]
+		for j := 0; j < bs; j += 4 {
+			lj0 := in.a[(j0+j)*n+k0 : (j0+j)*n+k0+bs]
+			lj1 := in.a[(j0+j+1)*n+k0 : (j0+j+1)*n+k0+bs]
+			lj2 := in.a[(j0+j+2)*n+k0 : (j0+j+2)*n+k0+bs]
+			lj3 := in.a[(j0+j+3)*n+k0 : (j0+j+3)*n+k0+bs]
+			var s0, s1, s2, s3, t0, t1, t2, t3 float64
+			for r, x := range li0 {
+				y := li1[r]
+				p0, p1, p2, p3 := lj0[r], lj1[r], lj2[r], lj3[r]
+				s0 += x * p0
+				s1 += x * p1
+				s2 += x * p2
+				s3 += x * p3
+				t0 += y * p0
+				t1 += y * p1
+				t2 += y * p2
+				t3 += y * p3
 			}
-			arow[j] -= sum
+			a0[j] -= s0
+			a0[j+1] -= s1
+			a0[j+2] -= s2
+			a0[j+3] -= s3
+			a1[j] -= t0
+			a1[j+1] -= t1
+			a1[j+2] -= t2
+			a1[j+3] -= t3
 		}
 	}
 }
 
 // Verify implements core.Instance: probes L*L^T*x against A_orig*x with
-// random vectors.
+// random vectors. The bound is a backward error, 8*eps*n*|A|inf*|x|inf:
+// over seeds 1, 3, 7 and 77 the float64 kernel's worst row measures
+// 0.02-0.07 of eps*n*|A|inf*|x|inf at n = 128, 256 and 512, and a kernel
+// that rounds every update to float32 measures 3.0e6-3.8e6 of it.
 func (in *instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("cholesky: verify before run")
 	}
 	n := in.n
+	normA := infNorm(in.orig, n)
 	rng := rand.New(rand.NewSource(54321))
 	x := make([]float64, n)
 	y := make([]float64, n)
 	z := make([]float64, n)
 	want := make([]float64, n)
 	for probe := 0; probe < 3; probe++ {
+		var normX float64
 		for i := range x {
 			x[i] = rng.Float64() - 0.5
+			normX = math.Max(normX, math.Abs(x[i]))
 		}
 		// y = L^T * x: y[i] = sum_{j >= i} L[j][i] * x[j].
 		for i := 0; i < n; i++ {
@@ -243,7 +281,6 @@ func (in *instance) Verify() error {
 			}
 			z[i] = sum
 		}
-		var norm float64
 		for i := 0; i < n; i++ {
 			var sum float64
 			row := in.orig[i*n : (i+1)*n]
@@ -251,9 +288,8 @@ func (in *instance) Verify() error {
 				sum += row[j] * x[j]
 			}
 			want[i] = sum
-			norm += sum * sum
 		}
-		tol := 1e-8 * math.Sqrt(norm) * float64(n)
+		tol := 8 * eps * float64(n) * normA * normX
 		for i := 0; i < n; i++ {
 			if d := math.Abs(z[i] - want[i]); d > tol {
 				return fmt.Errorf("cholesky: probe %d row %d: L*L^T*x=%g, A*x=%g (|diff|=%g, tol=%g)",
@@ -262,4 +298,20 @@ func (in *instance) Verify() error {
 		}
 	}
 	return nil
+}
+
+// eps is float64's machine epsilon.
+const eps = 0x1p-52
+
+// infNorm returns the largest absolute row sum of the n x n matrix a.
+func infNorm(a []float64, n int) float64 {
+	var norm float64
+	for i := 0; i < n; i++ {
+		var sum float64
+		for _, v := range a[i*n : (i+1)*n] {
+			sum += math.Abs(v)
+		}
+		norm = math.Max(norm, sum)
+	}
+	return norm
 }

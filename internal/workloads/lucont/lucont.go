@@ -7,7 +7,8 @@
 // that axis of the characterization.
 //
 // Synchronization is identical to package lu: three barrier episodes per
-// outer iteration over round-robin block ownership.
+// outer iteration over round-robin block ownership. The tile update uses
+// package lu's 2 x 4 register tiles and the same operation order.
 //
 // Scale mapping: test n=128/B=16, small n=256/B=16, default n=512/B=16,
 // large n=1024/B=32.
@@ -57,6 +58,9 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 		return nil, err
 	}
 	n, block := sizes(cfg.Scale)
+	if block%4 != 0 {
+		return nil, fmt.Errorf("lucont: block %d is not a whole number of 2x4 update tiles", block)
+	}
 	nb := n / block
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	inst := &instance{
@@ -193,30 +197,46 @@ func solveColTile(diag, a []float64, bs int) {
 	}
 }
 
-// updateTile applies c -= l * u on dense tiles.
+// updateTile applies c -= l * u on dense tiles, in 2 x 4 register tiles of
+// c as package lu's updateInterior does: every element still gets
+// c -= l[i][r]*u[r][j] for r = 0..bs-1 in order. Prepare guarantees
+// bs % 4 == 0.
 func updateTile(l, u, c []float64, bs int) {
-	for i := 0; i < bs; i++ {
-		for r := 0; r < bs; r++ {
-			lir := l[i*bs+r]
-			if lir == 0 {
-				continue
+	for i := 0; i < bs; i += 2 {
+		l0 := l[i*bs : (i+1)*bs]
+		l1 := l[(i+1)*bs : (i+2)*bs]
+		c0row := c[i*bs : (i+1)*bs]
+		c1row := c[(i+1)*bs : (i+2)*bs]
+		for j := 0; j < bs; j += 4 {
+			c0, c1, c2, c3 := c0row[j], c0row[j+1], c0row[j+2], c0row[j+3]
+			d0, d1, d2, d3 := c1row[j], c1row[j+1], c1row[j+2], c1row[j+3]
+			for r, x := range l0 {
+				y := l1[r]
+				ur := u[r*bs+j : r*bs+j+4]
+				u0, u1, u2, u3 := ur[0], ur[1], ur[2], ur[3]
+				c0 -= x * u0
+				c1 -= x * u1
+				c2 -= x * u2
+				c3 -= x * u3
+				d0 -= y * u0
+				d1 -= y * u1
+				d2 -= y * u2
+				d3 -= y * u3
 			}
-			urow := u[r*bs : (r+1)*bs]
-			crow := c[i*bs : (i+1)*bs]
-			for j := 0; j < bs; j++ {
-				crow[j] -= lir * urow[j]
-			}
+			c0row[j], c0row[j+1], c0row[j+2], c0row[j+3] = c0, c1, c2, c3
+			c1row[j], c1row[j+1], c1row[j+2], c1row[j+3] = d0, d1, d2, d3
 		}
 	}
 }
 
-// Verify implements core.Instance: identical probe check to package lu,
-// reading elements through the tiled layout.
+// Verify implements core.Instance: identical probe check and backward-error
+// bound to package lu, reading elements through the tiled layout.
 func (in *instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("lucont: verify before run")
 	}
 	n := in.n
+	normA := infNorm(in.orig, n)
 	rng := rand.New(rand.NewSource(12345))
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -224,8 +244,10 @@ func (in *instance) Verify() error {
 	want := make([]float64, n)
 	get := func(i, j int) float64 { return in.at(i, j)[0] }
 	for probe := 0; probe < 3; probe++ {
+		var normX float64
 		for i := range x {
 			x[i] = rng.Float64() - 0.5
+			normX = math.Max(normX, math.Abs(x[i]))
 		}
 		for i := 0; i < n; i++ {
 			var sum float64
@@ -241,7 +263,6 @@ func (in *instance) Verify() error {
 			}
 			z[i] = sum
 		}
-		var norm float64
 		for i := 0; i < n; i++ {
 			var sum float64
 			row := in.orig[i*n : (i+1)*n]
@@ -249,9 +270,8 @@ func (in *instance) Verify() error {
 				sum += row[j] * x[j]
 			}
 			want[i] = sum
-			norm += sum * sum
 		}
-		tol := 1e-8 * math.Sqrt(norm) * float64(n)
+		tol := 8 * eps * float64(n) * normA * normX
 		for i := 0; i < n; i++ {
 			if d := math.Abs(z[i] - want[i]); d > tol {
 				return fmt.Errorf("lucont: probe %d row %d: L*U*x=%g, A*x=%g (|diff|=%g, tol=%g)",
@@ -260,4 +280,20 @@ func (in *instance) Verify() error {
 		}
 	}
 	return nil
+}
+
+// eps is float64's machine epsilon.
+const eps = 0x1p-52
+
+// infNorm returns the largest absolute row sum of the n x n matrix a.
+func infNorm(a []float64, n int) float64 {
+	var norm float64
+	for i := 0; i < n; i++ {
+		var sum float64
+		for _, v := range a[i*n : (i+1)*n] {
+			sum += math.Abs(v)
+		}
+		norm = math.Max(norm, sum)
+	}
+	return norm
 }

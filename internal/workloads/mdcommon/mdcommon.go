@@ -2,6 +2,11 @@
 // WATER applications: shifted Lennard-Jones pair interactions in reduced
 // units, periodic boundary helpers, lattice/velocity initialization, and the
 // sequential force oracle both workloads verify against.
+//
+// RowForces, WATER-NSQUARED's inner loop, is PairInteraction over a row with
+// the loop invariants hoisted and molecule i kept in registers; it performs
+// the same additions in the same order, so its forces and energy are the
+// same bits.
 package mdcommon
 
 import (
@@ -42,15 +47,7 @@ func Wrap(x, box float64) float64 {
 }
 
 // MinImage returns the minimum-image displacement component.
-func MinImage(d, box float64) float64 {
-	if d > box/2 {
-		return d - box
-	}
-	if d < -box/2 {
-		return d + box
-	}
-	return d
-}
+func MinImage(d, box float64) float64 { return minImage(d, box, box/2) }
 
 // PairInteraction computes the shifted-LJ interaction between molecules i
 // and j at positions x, adding the force pair into f (which may be a
@@ -77,13 +74,51 @@ func PairInteraction(x, f []float64, i, j int, box, rc, vShift float64) float64 
 }
 
 // RowForces accumulates molecule i's interactions with all j > i into f and
-// returns the potential energy of those pairs.
+// returns the potential energy of those pairs. It is PairInteraction for
+// j = i+1..n-1 in order with box/2 and rc*rc hoisted and molecule i's
+// position and force kept in registers: f and the energy get the same
+// additions in the same order, so the result is the same bits. (A pair
+// beyond the cutoff adds nothing rather than +0; the sum starts at +0 and
+// so is never -0, where the two would differ.)
 func RowForces(x, f []float64, i, n int, box, rc, vShift float64) float64 {
+	half, rc2 := box/2, rc*rc
+	xi, yi, zi := x[3*i], x[3*i+1], x[3*i+2]
+	fx, fy, fz := f[3*i], f[3*i+1], f[3*i+2]
 	var pe float64
 	for j := i + 1; j < n; j++ {
-		pe += PairInteraction(x, f, i, j, box, rc, vShift)
+		xj := x[3*j : 3*j+3]
+		dx := minImage(xi-xj[0], box, half)
+		dy := minImage(yi-xj[1], box, half)
+		dz := minImage(zi-xj[2], box, half)
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 >= rc2 || r2 == 0 {
+			continue
+		}
+		inv2 := 1 / r2
+		sr6 := inv2 * inv2 * inv2
+		fmag := 24 * sr6 * (2*sr6 - 1) * inv2
+		fx += fmag * dx
+		fy += fmag * dy
+		fz += fmag * dz
+		fj := f[3*j : 3*j+3]
+		fj[0] -= fmag * dx
+		fj[1] -= fmag * dy
+		fj[2] -= fmag * dz
+		pe += 4*sr6*(sr6-1) - vShift
 	}
+	f[3*i], f[3*i+1], f[3*i+2] = fx, fy, fz
 	return pe
+}
+
+// minImage is MinImage with box/2 precomputed.
+func minImage(d, box, half float64) float64 {
+	if d > half {
+		return d - box
+	}
+	if d < -half {
+		return d + box
+	}
+	return d
 }
 
 // ComputeForces fills f with the total force on each molecule (sequential

@@ -128,6 +128,48 @@ func TestVShiftMakesPotentialContinuous(t *testing.T) {
 	}
 }
 
+// refRowForces is RowForces as it was before molecule i stayed in
+// registers, kept verbatim as the oracle the kernel is held to.
+func refRowForces(x, f []float64, i, n int, box, rc, vShift float64) float64 {
+	var pe float64
+	for j := i + 1; j < n; j++ {
+		pe += mdcommon.PairInteraction(x, f, i, j, box, rc, vShift)
+	}
+	return pe
+}
+
+// TestRowForcesBitIdenticalToPairLoop holds RowForces bit for bit to the
+// PairInteraction loop on the WATER programs' initial states, row by row
+// into one force array as a thread's cyclic rows accumulate. Whole runs are
+// not compared: at three or more threads the merged forces arrive in
+// schedule order.
+func TestRowForcesBitIdenticalToPairLoop(t *testing.T) {
+	for _, n := range []int{64, 216, 512} {
+		box := mdcommon.Box(n)
+		rc := mdcommon.Cutoff(box)
+		vs := mdcommon.VShift(rc)
+		for _, seed := range []int64{1, 7, 77} {
+			x := make([]float64, 3*n)
+			v := make([]float64, 3*n)
+			mdcommon.InitState(x, v, n, box, seed)
+			got := make([]float64, 3*n)
+			want := make([]float64, 3*n)
+			for i := 0; i < n; i++ {
+				pg := mdcommon.RowForces(x, got, i, n, box, rc, vs)
+				pw := refRowForces(x, want, i, n, box, rc, vs)
+				if math.Float64bits(pg) != math.Float64bits(pw) {
+					t.Fatalf("n %d seed %d: row %d energy %v, pair loop %v", n, seed, i, pg, pw)
+				}
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("n %d seed %d: f[%d] = %v, pair loop %v", n, seed, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
 func TestPotentialMatchesPairSum(t *testing.T) {
 	n := 20
 	box := mdcommon.Box(n)

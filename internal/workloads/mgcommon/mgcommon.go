@@ -10,6 +10,11 @@
 // them with one global allocation ("non-contiguous partitions"), the
 // oceancont package with one contiguous band per thread ("contiguous
 // partitions") — the two layouts the original suite ships.
+//
+// The restriction computes each fine residual once, into three rolling rows
+// per thread that NewSolver allocates, instead of once per full-weighting
+// stencil that reads it (about 2.25 times); the stencil sums the same values
+// in the same order, so every grid is the same bits.
 package mgcommon
 
 import (
@@ -42,6 +47,7 @@ type Solver struct {
 	threads int
 	barrier sync4.Barrier
 	resid   []sync4.Accumulator // per-cycle residual reduction
+	rows    [][]float64         // per thread: three finest-width residual rows for restrictResidual
 	tol     float64
 	maxCyc  int
 	cycles  int
@@ -82,6 +88,10 @@ func NewSolver(n, threads int, kit sync4.Kit, alloc Allocator, fillF func(i, j i
 	s.resid = make([]sync4.Accumulator, s.maxCyc)
 	for i := range s.resid {
 		s.resid[i] = kit.NewAccumulator()
+	}
+	s.rows = make([][]float64, threads)
+	for t := range s.rows {
+		s.rows[t] = make([]float64, 3*(n+2))
 	}
 	return s
 }
@@ -165,35 +175,54 @@ func (s *Solver) smooth(tid int, lv Level, sweeps int) {
 }
 
 // restrictResidual computes the fine residual and restricts it (full
-// weighting) to the next-coarser F, zeroing the coarser U.
+// weighting) to the next-coarser F, zeroing the coarser U. Coarse row ci
+// reads fine rows 2ci-1..2ci+1, and consecutive coarse rows share one fine
+// row, so each fine residual the thread needs is computed once into its
+// three rolling rows rather than once per stencil that reads it. Every
+// coarse point still sums the same nine values in the same order. The
+// stencil never reaches the boundary ring: fine rows and columns run from
+// 2*1-1 = 1 to 2*coarse.N+1 = fine.N.
 func (s *Solver) restrictResidual(tid, l int) {
 	fine, coarse := s.levels[l], s.levels[l+1]
 	lo, hi := core.BlockRange(tid, s.threads, coarse.N)
-	h2 := fine.H * fine.H
-	res := func(i, j int) float64 {
-		if i < 1 || j < 1 || i > fine.N || j > fine.N {
-			return 0 // the boundary equation is an identity: zero residual
-		}
-		return fine.F[i][j] - (fine.U[i-1][j]+fine.U[i+1][j]+
-			fine.U[i][j-1]+fine.U[i][j+1]-4*fine.U[i][j])/h2
-	}
-	for ci := lo + 1; ci <= hi; ci++ {
-		fi := 2 * ci
-		for cj := 1; cj <= coarse.N; cj++ {
-			fj := 2 * cj
-			// Full-weighting stencil over the 3x3 fine neighborhood.
-			v := 4*res(fi, fj) +
-				2*(res(fi-1, fj)+res(fi+1, fj)+res(fi, fj-1)+res(fi, fj+1)) +
-				res(fi-1, fj-1) + res(fi-1, fj+1) + res(fi+1, fj-1) + res(fi+1, fj+1)
-			// The coarse operator uses the coarse mesh width; with
-			// F_c = restricted residual the correction equation is
-			// A_c e = r_c directly (restriction already scales by
-			// the 1/16 weight; the h^2 factors live in smooth()).
-			coarse.F[ci][cj] = v / 16
-			coarse.U[ci][cj] = 0
+	if lo < hi {
+		w := fine.N + 2
+		buf := s.rows[tid]
+		up, mid, down := buf[:w], buf[w:2*w], buf[2*w:3*w]
+		residualRow(fine, 2*lo+1, up)
+		for ci := lo + 1; ci <= hi; ci++ {
+			fi := 2 * ci
+			residualRow(fine, fi, mid)
+			residualRow(fine, fi+1, down)
+			for cj := 1; cj <= coarse.N; cj++ {
+				fj := 2 * cj
+				// Full-weighting stencil over the 3x3 fine neighborhood.
+				v := 4*mid[fj] +
+					2*(up[fj]+down[fj]+mid[fj-1]+mid[fj+1]) +
+					up[fj-1] + up[fj+1] + down[fj-1] + down[fj+1]
+				// The coarse operator uses the coarse mesh width; with
+				// F_c = restricted residual the correction equation is
+				// A_c e = r_c directly (restriction already scales by
+				// the 1/16 weight; the h^2 factors live in smooth()).
+				coarse.F[ci][cj] = v / 16
+				coarse.U[ci][cj] = 0
+			}
+			// Fine row fi+1 is the next coarse row's fi-1.
+			up, down = down, up
 		}
 	}
 	s.barrier.Wait()
+}
+
+// residualRow writes the residual f - lap u of fine row i, columns
+// 1..lv.N, into r.
+func residualRow(lv Level, i int, r []float64) {
+	h2 := lv.H * lv.H
+	row, frow := lv.U[i], lv.F[i]
+	up, down := lv.U[i-1], lv.U[i+1]
+	for j := 1; j <= lv.N; j++ {
+		r[j] = frow[j] - (up[j]+down[j]+row[j-1]+row[j+1]-4*row[j])/h2
+	}
 }
 
 // prolongAdd interpolates the coarse correction bilinearly and adds it to
