@@ -1,7 +1,8 @@
 // Benchmark targets, one per experiment in DESIGN.md's index (E3 is a
-// static table and has no timing component). Inputs default to ScaleTest so
-// `go test -bench=.` finishes quickly; the cmd/splash4-report tool runs the
-// same experiments at paper-like sizes.
+// static table and has no timing component; E5's table comes from
+// `splash4-report -exp E5`, and BenchmarkDESReplay times its engine).
+// Inputs default to ScaleTest so `go test -bench=.` finishes quickly; the
+// cmd/splash4-report tool runs the same experiments at paper-like sizes.
 package splash4_test
 
 import (
@@ -104,37 +105,6 @@ func BenchmarkE4SyncCensus(b *testing.B) {
 	}
 }
 
-// BenchmarkE5PerfModel regenerates experiment E5: the census of each run is
-// replayed under the Ice-Lake-like machine model and the modeled total time
-// is attached as a metric (modeled-ns). The classic/lockfree ratio of that
-// metric is the paper's simulated normalized execution time.
-func BenchmarkE5PerfModel(b *testing.B) {
-	machine := splash4.IceLakeLike()
-	for _, bench := range splash4.Suite() {
-		for _, kit := range kits() {
-			b.Run(fmt.Sprintf("%s/%s", bench.Name(), kit.Name()), func(b *testing.B) {
-				var modeled float64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					opt := splash4.Options{Reps: 1, QuiesceGC: true, Instrument: true, TimedSync: true}
-					cfg := splash4.Config{Threads: benchThreads, Kit: kit, Scale: splash4.ScaleTest, Seed: 1}
-					b.StartTimer()
-					res, err := splash4.Run(bench, cfg, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					est, err := machine.Estimate(res)
-					if err != nil {
-						b.Fatal(err)
-					}
-					modeled = float64(est.Total)
-				}
-				b.ReportMetric(modeled, "modeled-ns")
-			})
-		}
-	}
-}
-
 // BenchmarkE6Primitives regenerates experiment E6: the raw synchronization
 // primitives under contention, per kit. These are the microbenchmarks
 // behind the companion paper's up-to-9x construct-level speedups.
@@ -204,7 +174,7 @@ func BenchmarkE6Primitives(b *testing.B) {
 
 // BenchmarkDESReplay measures the discrete-event simulator itself: one
 // simulation of a 16-thread, 200-phase trace with contended RMWs. This is
-// infrastructure (the E5b engine), not a suite workload.
+// infrastructure (the E5 engine), not a suite workload.
 func BenchmarkDESReplay(b *testing.B) {
 	tr := splash4.SimTrace{}
 	for t := 0; t < 16; t++ {

@@ -1,5 +1,5 @@
 // Command splash4-report regenerates the paper's evaluation tables and
-// figures (experiments E1-E7; see DESIGN.md for the index).
+// figures (report.Experiments; see DESIGN.md for the index).
 //
 // Usage:
 //
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: E1..E9 (including E5b), or 'all'")
+		exp     = flag.String("exp", "all", "experiment id: "+experimentIDs())
 		csvDir  = flag.String("csv", "", "directory to also save each table as CSV (empty = text only)")
 		threads = flag.Int("threads", 0, "thread count for fixed-thread experiments (0 = min(GOMAXPROCS, 64))")
 		sweep   = flag.String("sweep", "", "comma-separated thread sweep for E2/E6 (default 1,2,4,...)")
@@ -59,31 +59,36 @@ func main() {
 		}
 	}
 
-	experiments := map[string]func(report.Config) error{
-		"E1":  report.E1NormalizedTime,
-		"E2":  report.E2Scaling,
-		"E3":  report.E3Inventory,
-		"E4":  report.E4SyncCensus,
-		"E5":  report.E5PerfModel,
-		"E5B": report.E5bDESReplay,
-		"E6":  report.E6Primitives,
-		"E7":  report.E7Ablation,
-		"E8":  report.E8SyncShare,
-		"E9":  report.E9GCCensus,
-	}
-	if *exp == "all" {
-		if err := report.All(cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fn, ok := experiments[strings.ToUpper(*exp)]
-	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q (E1..E9, E5b, or all)", *exp))
-	}
-	if err := fn(cfg); err != nil {
+	run, err := lookup(*exp)
+	if err != nil {
 		fatal(err)
 	}
+	if err := run(cfg); err != nil {
+		fatal(err)
+	}
+}
+
+// lookup resolves an -exp value, case-insensitively, against
+// report.Experiments; "all" runs every experiment.
+func lookup(id string) (func(report.Config) error, error) {
+	if strings.EqualFold(id, "all") {
+		return report.All, nil
+	}
+	for _, e := range report.Experiments {
+		if strings.EqualFold(id, e.ID) {
+			return e.Run, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, experimentIDs())
+}
+
+// experimentIDs lists the valid -exp values.
+func experimentIDs() string {
+	var ids []string
+	for _, e := range report.Experiments {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(ids, ", ") + " or all"
 }
 
 func fatal(err error) {

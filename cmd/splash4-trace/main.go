@@ -24,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dessim"
 	"repro/internal/harness"
-	"repro/internal/perfmodel"
 	"repro/internal/sync4"
 	"repro/internal/sync4/classic"
 	"repro/internal/sync4/lockfree"
@@ -134,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sim, err := dessim.Simulate(tr, perfmodel.IceLakeLike(), *kitName)
+		sim, err := dessim.Simulate(tr, dessim.IceLakeLike(), *kitName)
 		if err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}

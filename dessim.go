@@ -7,9 +7,20 @@ import (
 	"repro/internal/sync4"
 )
 
-// The discrete-event simulation surface: replay a run's synchronization
-// census on a modeled machine, capturing serialization and critical path.
-// See internal/dessim.
+// The machine model, the stand-in for the paper's gem5 simulations: replay
+// a run's synchronization census on a modeled machine, capturing
+// serialization and critical path. See internal/dessim.
+
+// Machine parameterizes a modeled machine's per-construct costs.
+type Machine = dessim.Machine
+
+// IceLakeLike returns a machine model loosely shaped after the simulated
+// Intel Ice Lake server used in the paper.
+func IceLakeLike() Machine { return dessim.IceLakeLike() }
+
+// EpycLike returns a machine model loosely shaped after the AMD EPYC 7002
+// (Rome) machine used in the paper.
+func EpycLike() Machine { return dessim.EpycLike() }
 
 // SimEvent is one step of a simulated thread's trace.
 type SimEvent = dessim.Event

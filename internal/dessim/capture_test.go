@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dessim"
 	"repro/internal/harness"
-	"repro/internal/perfmodel"
 	"repro/internal/sync4"
 	"repro/internal/sync4/classic"
 	"repro/internal/sync4/lockfree"
@@ -74,7 +73,7 @@ func TestFromCaptureSynthetic(t *testing.T) {
 			t.Errorf("thread 1 event %d = %+v, want %+v", i, tr[1][i], w)
 		}
 	}
-	if _, err := dessim.Simulate(tr, perfmodel.IceLakeLike(), "lockfree"); err != nil {
+	if _, err := dessim.Simulate(tr, dessim.IceLakeLike(), "lockfree"); err != nil {
 		t.Fatalf("synthetic replay: %v", err)
 	}
 }
@@ -157,7 +156,7 @@ func TestCapturedRunRoundTrip(t *testing.T) {
 
 				// And the schedule is replayable: the simulation terminates
 				// without a participation deadlock.
-				sim, err := dessim.Simulate(tr, perfmodel.IceLakeLike(), kit.Name())
+				sim, err := dessim.Simulate(tr, dessim.IceLakeLike(), kit.Name())
 				if err != nil {
 					t.Fatal(err)
 				}

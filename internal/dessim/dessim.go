@@ -1,24 +1,23 @@
-// Package dessim is a discrete-event simulator for the synchronization
-// behavior of the suite's workloads — the second half of this
-// reproduction's gem5 substitute (DESIGN.md, S6). Where internal/perfmodel
-// prices a census with closed-form per-operation costs, dessim replays
-// per-thread event traces against a modeled machine and computes the actual
-// critical path: lock and RMW serialization on shared objects, cache-line
-// handoff between cores, barrier rendezvous, and the serialized wakeup
-// chains of sleeping (condvar) barriers versus the broadcast release of
-// spinning (atomic) barriers.
+// Package dessim is this reproduction's machine model: the stand-in for the
+// paper's gem5-20 simulations (DESIGN.md, substitution S6). A
+// cycle-accurate CPU simulator is out of scope; instead, dessim replays
+// per-thread synchronization event traces against a modeled Machine and
+// computes the actual critical path: lock and RMW serialization on shared
+// objects, cache-line handoff between cores, barrier rendezvous, and the
+// serialized wakeup chains of sleeping (condvar) barriers versus the
+// broadcast release of spinning (atomic) barriers.
 //
-// Traces come from two sources: synthesized canonical patterns (package
-// function helpers) parameterized by a real run's census, or hand-built
-// event lists in tests. Costs come from perfmodel.Machine, so the two
-// models share one machine description.
+// Traces come from three sources: a real run's census (FromSnapshot), a
+// captured event trace (FromCapture), or the canonical shapes and
+// hand-built event lists the tests use. The Machine constants are loosely
+// shaped after the paper's two machines, not calibrated: the model keeps
+// the classic-vs-lockfree ordering and its growth with threads, not
+// absolute times.
 package dessim
 
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/perfmodel"
 )
 
 // Kind enumerates trace event types.
@@ -93,7 +92,7 @@ type Result struct {
 // ("classic" selects the lock-based costs, anything else the atomic ones).
 // It returns an error if barrier or flag usage deadlocks (mismatched
 // participation).
-func Simulate(tr Trace, m perfmodel.Machine, kitName string) (Result, error) {
+func Simulate(tr Trace, m Machine, kitName string) (Result, error) {
 	s := &sim{
 		m:        m,
 		classic:  kitName == "classic",
@@ -176,7 +175,7 @@ type arrival struct {
 }
 
 type sim struct {
-	m        perfmodel.Machine
+	m        Machine
 	classic  bool
 	tr       Trace
 	idx      []int

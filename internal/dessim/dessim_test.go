@@ -1,17 +1,17 @@
 package dessim_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"testing/quick"
 
 	"repro/internal/dessim"
-	"repro/internal/perfmodel"
 	"repro/internal/sync4"
 )
 
-func machine() perfmodel.Machine { return perfmodel.IceLakeLike() }
+func machine() dessim.Machine { return dessim.IceLakeLike() }
 
 func TestComputeOnlyMakespanIsMaxThread(t *testing.T) {
 	tr := dessim.Trace{
@@ -291,5 +291,106 @@ func TestFromSnapshotMatchesCensusShape(t *testing.T) {
 	}
 	if rl.Makespan >= rc.Makespan {
 		t.Fatalf("lockfree %v >= classic %v on census-derived trace", rl.Makespan, rc.Makespan)
+	}
+}
+
+// paperMachines and paperThreads are the machines and thread counts of the
+// paper-ordering tests below.
+var (
+	paperMachines = []dessim.Machine{dessim.IceLakeLike(), dessim.EpycLike()}
+	paperThreads  = []int{1, 2, 8, 32, 64}
+)
+
+// paperCase is one census shape at one hot-cell count, replayed on
+// paperMachines at paperThreads. reduction[m][i] is 1 - lockfree/classic
+// makespan on paperMachines[m] at paperThreads[i].
+type paperCase struct {
+	name      string
+	reduction [][]float64
+}
+
+// paperCases replays census-derived traces for the three properties of the
+// paper's simulated figure that DESIGN.md promises. Each census holds
+// per-thread work constant as threads grow (weak scaling), with 1 ms of
+// compute per thread.
+func paperCases(t *testing.T) []paperCase {
+	t.Helper()
+	shapes := []struct {
+		name                  string
+		barriers, rmws, locks int64 // per thread
+	}{
+		{"barriers", 200, 0, 0},
+		{"rmws", 1, 200, 0},
+		{"locks", 1, 0, 200},
+		{"barriers+rmws", 200, 200, 0},
+		{"mixed", 200, 200, 200},
+	}
+	var cases []paperCase
+	for _, sh := range shapes {
+		for _, hot := range []int{1, 8} {
+			c := paperCase{name: fmt.Sprintf("%s hot=%d", sh.name, hot), reduction: make([][]float64, len(paperMachines))}
+			for m, machine := range paperMachines {
+				for _, threads := range paperThreads {
+					n := int64(threads)
+					s := sync4.Snapshot{BarrierWaits: sh.barriers * n, CounterOps: sh.rmws * n, LockAcquires: sh.locks * n}
+					tr := dessim.FromSnapshot(s, threads, time.Duration(threads)*time.Millisecond, hot)
+					rc, err := dessim.Simulate(tr, machine, "classic")
+					if err != nil {
+						t.Fatal(err)
+					}
+					rl, err := dessim.Simulate(tr, machine, "lockfree")
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.reduction[m] = append(c.reduction[m], 1-float64(rl.Makespan)/float64(rc.Makespan))
+				}
+			}
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+// TestLockfreeCheaperThanClassicForSameCensus: once threads share anything,
+// the lock-free kit's makespan is below the classic kit's on both machines.
+func TestLockfreeCheaperThanClassicForSameCensus(t *testing.T) {
+	for _, c := range paperCases(t) {
+		for m, machine := range paperMachines {
+			for i, threads := range paperThreads {
+				if threads >= 2 && c.reduction[m][i] <= 0 {
+					t.Errorf("%s %s t=%d: lockfree/classic %.3f, want below 1",
+						c.name, machine.Name, threads, 1-c.reduction[m][i])
+				}
+			}
+		}
+	}
+}
+
+// TestGapGrowsWithThreads: the lock-free kit's normalized time falls
+// strictly as threads grow, on both machines.
+func TestGapGrowsWithThreads(t *testing.T) {
+	for _, c := range paperCases(t) {
+		for m, machine := range paperMachines {
+			for i := 1; i < len(paperThreads); i++ {
+				if c.reduction[m][i] <= c.reduction[m][i-1] {
+					t.Errorf("%s %s: normalized time %.3f at t=%d did not fall below %.3f at t=%d",
+						c.name, machine.Name, 1-c.reduction[m][i], paperThreads[i],
+						1-c.reduction[m][i-1], paperThreads[i-1])
+				}
+			}
+		}
+	}
+}
+
+// TestEpycShowsLargerReductionThanIceLake: at every threads >= 2 the
+// lock-free reduction on EPYC exceeds Ice Lake's.
+func TestEpycShowsLargerReductionThanIceLake(t *testing.T) {
+	for _, c := range paperCases(t) {
+		for i, threads := range paperThreads {
+			if threads >= 2 && c.reduction[1][i] <= c.reduction[0][i] {
+				t.Errorf("%s t=%d: EPYC reduction %.3f not above Ice Lake's %.3f",
+					c.name, threads, c.reduction[1][i], c.reduction[0][i])
+			}
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dessim"
 	"repro/internal/harness"
-	"repro/internal/perfmodel"
 	"repro/internal/results"
 	"repro/internal/stats"
 	"repro/internal/sync4"
@@ -18,100 +17,67 @@ import (
 	"repro/internal/workloads/all"
 )
 
-// E5PerfModel reproduces the simulated-architecture figure (the gem5 Ice
-// Lake role): the synchronization census of each run is replayed under the
-// analytical machine models and the modeled execution times are normalized
-// classic-vs-lockfree per benchmark, for both modeled machines.
-func E5PerfModel(cfg Config) error {
+// e5MachineModel reproduces the simulated-architecture experiment (the gem5
+// Ice Lake role, and the EPYC comparison) with the discrete-event machine
+// model: each benchmark runs once on the classic kit, its measured
+// synchronization census is synthesized into one per-thread event trace
+// (spread over the number of RMW objects the workload actually built), and
+// that trace is replayed on both modeled machines under both kits, so the
+// machines and the kits are compared on the same input.
+func e5MachineModel(cfg Config) error {
 	suite, err := cfg.suite()
 	if err != nil {
 		return err
 	}
 	t := cfg.threads()
-	machines := []perfmodel.Machine{perfmodel.IceLakeLike(), perfmodel.EpycLike()}
-	tab := results.New("E5",
-		fmt.Sprintf("modeled machines (gem5 substitute, analytical), %d threads, scale=%s", t, cfg.Scale),
-		"machine", "benchmark", "classic(model)", "lockfree(model)", "normalized", "reduction")
-
-	for _, m := range machines {
-		var norms []float64
-		for _, b := range suite {
-			rc, rl, err := harness.Pair(b, core.Config{Threads: t, Scale: cfg.Scale, Seed: cfg.Seed},
-				classic.New(), lockfree.New(), cfg.options(true, true))
-			if err != nil {
-				return err
-			}
-			ec, err := m.Estimate(rc)
-			if err != nil {
-				return err
-			}
-			el, err := m.Estimate(rl)
-			if err != nil {
-				return err
-			}
-			norm := float64(el.Total) / float64(ec.Total)
-			norms = append(norms, norm)
-			tab.AddRow(m.Name, b.Name(), us(ec.Total), us(el.Total),
-				fmt.Sprintf("%.3f", norm), pct(norm))
+	machines := []dessim.Machine{dessim.IceLakeLike(), dessim.EpycLike()}
+	// The table is machine-major, so each machine's rows and normalized
+	// times are collected before it is emitted.
+	rows := make([][][]any, len(machines))
+	norms := make([][]float64, len(machines))
+	for _, b := range suite {
+		res, err := harness.Run(b, core.Config{Threads: t, Kit: classic.New(), Scale: cfg.Scale, Seed: cfg.Seed},
+			cfg.options(true, true))
+		if err != nil {
+			return err
 		}
-		mean := stats.GeoMean(norms)
-		tab.AddRow(m.Name, "GEOMEAN", "", "", fmt.Sprintf("%.3f", mean), pct(mean))
-	}
-	return tab.Emit(cfg.Out, cfg.CSVDir, "")
-}
-
-// E5bDESReplay reproduces the simulated-architecture experiment with the
-// discrete-event simulator: each benchmark's measured synchronization
-// census is synthesized into per-thread event traces (spread over the
-// number of RMW objects the workload actually built) and replayed on the
-// modeled machines, capturing serialization and critical path rather than
-// closed-form costs.
-func E5bDESReplay(cfg Config) error {
-	suite, err := cfg.suite()
-	if err != nil {
-		return err
-	}
-	t := cfg.threads()
-	machines := []perfmodel.Machine{perfmodel.IceLakeLike(), perfmodel.EpycLike()}
-	tab := results.New("E5b",
-		fmt.Sprintf("discrete-event replay (gem5 substitute), %d threads, scale=%s", t, cfg.Scale),
-		"machine", "benchmark", "classic(sim)", "lockfree(sim)", "normalized", "reduction")
-
-	for _, m := range machines {
-		var norms []float64
-		for _, b := range suite {
-			res, err := harness.Run(b, core.Config{Threads: t, Kit: classic.New(), Scale: cfg.Scale, Seed: cfg.Seed},
-				cfg.options(true, true))
+		s := res.Sync
+		// Aggregate compute budget: wall time times the host
+		// parallelism actually available during the run.
+		par := runtime.GOMAXPROCS(0)
+		if par > t {
+			par = t
+		}
+		compute := res.Times.Mean() * time.Duration(par)
+		if blocked := time.Duration(s.BlockedNanos()); blocked < compute {
+			compute -= blocked
+		}
+		trace := dessim.FromSnapshot(s, t, compute, int(s.RMWCells()))
+		for m, machine := range machines {
+			rc, err := dessim.Simulate(trace, machine, "classic")
 			if err != nil {
 				return err
 			}
-			s := res.Sync
-			// Aggregate compute budget: wall time times the host
-			// parallelism actually available during the run.
-			par := runtime.GOMAXPROCS(0)
-			if par > t {
-				par = t
-			}
-			compute := res.Times.Mean() * time.Duration(par)
-			if blocked := time.Duration(s.BlockedNanos()); blocked < compute {
-				compute -= blocked
-			}
-			trace := dessim.FromSnapshot(s, t, compute, int(s.RMWCells()))
-			rc, err := dessim.Simulate(trace, m, "classic")
-			if err != nil {
-				return err
-			}
-			rl, err := dessim.Simulate(trace, m, "lockfree")
+			rl, err := dessim.Simulate(trace, machine, "lockfree")
 			if err != nil {
 				return err
 			}
 			norm := float64(rl.Makespan) / float64(rc.Makespan)
-			norms = append(norms, norm)
-			tab.AddRow(m.Name, b.Name(), us(rc.Makespan), us(rl.Makespan),
-				fmt.Sprintf("%.3f", norm), pct(norm))
+			norms[m] = append(norms[m], norm)
+			rows[m] = append(rows[m], []any{machine.Name, b.Name(), us(rc.Makespan), us(rl.Makespan),
+				fmt.Sprintf("%.3f", norm), pct(norm)})
 		}
-		mean := stats.GeoMean(norms)
-		tab.AddRow(m.Name, "GEOMEAN", "", "", fmt.Sprintf("%.3f", mean), pct(mean))
+	}
+
+	tab := results.New("E5",
+		fmt.Sprintf("modeled machines (gem5 substitute, discrete-event replay), %d threads, scale=%s", t, cfg.Scale),
+		"machine", "benchmark", "classic(sim)", "lockfree(sim)", "normalized", "reduction")
+	for m, machine := range machines {
+		for _, row := range rows[m] {
+			tab.AddRow(row...)
+		}
+		mean := stats.GeoMean(norms[m])
+		tab.AddRow(machine.Name, "GEOMEAN", "", "", fmt.Sprintf("%.3f", mean), pct(mean))
 	}
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
@@ -140,10 +106,10 @@ func AblationKits() []sync4.Kit {
 // (water-nsquared).
 var ablationBenchmarks = []string{"fft", "radix", "ocean", "water-nsquared"}
 
-// E7Ablation reproduces the design-choice ablation called out in DESIGN.md:
+// e7Ablation reproduces the design-choice ablation called out in DESIGN.md:
 // how much of the lockfree kit's gain comes from atomic RMWs alone versus
 // the atomic barrier alone.
-func E7Ablation(cfg Config) error {
+func e7Ablation(cfg Config) error {
 	t := cfg.threads()
 	tab := results.New("E7",
 		fmt.Sprintf("construct ablation, %d threads, scale=%s", t, cfg.Scale),
@@ -175,14 +141,14 @@ func E7Ablation(cfg Config) error {
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
 
-// E8SyncShare characterizes where the time goes: the share of aggregate
+// e8SyncShare characterizes where the time goes: the share of aggregate
 // thread time each benchmark spends blocked inside synchronization
 // constructs, per kit, plus the distribution of individual blocked episodes
 // (from the event tracer's capture folded into log-spaced histograms). The
 // share explains *why* the lock-free rewrite helps where it does; the
 // quantiles separate many-short-waits from few-long-waits, which the sum
 // cannot.
-func E8SyncShare(cfg Config) error {
+func e8SyncShare(cfg Config) error {
 	suite, err := cfg.suite()
 	if err != nil {
 		return err
@@ -223,7 +189,7 @@ func E8SyncShare(cfg Config) error {
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
 
-// E9GCCensus characterizes the Go-specific fidelity cost this reproduction
+// e9GCCensus characterizes the Go-specific fidelity cost this reproduction
 // documents in DESIGN.md: allocation, garbage-collector and scheduler
 // activity inside each benchmark's timed region, measured with the
 // runtime/metrics sampler bracketing exactly the harness's timed region.
@@ -232,7 +198,7 @@ func E8SyncShare(cfg Config) error {
 // interference from the Go scheduler that MemStats-style censuses miss.
 // GC quiescing is deliberately off here — this experiment measures the
 // collector, the others suppress it.
-func E9GCCensus(cfg Config) error {
+func e9GCCensus(cfg Config) error {
 	suite, err := cfg.suite()
 	if err != nil {
 		return err

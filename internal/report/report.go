@@ -1,6 +1,6 @@
-// Package report regenerates the paper's evaluation: each exported E*
-// function reproduces one table or figure of the characterization (see the
-// experiment index in DESIGN.md), renders it as an ASCII table and — when
+// Package report regenerates the paper's evaluation: each entry of
+// Experiments reproduces one table or figure of the characterization (see
+// the experiment index in DESIGN.md), renders it as an ASCII table and — when
 // Config.CSVDir is set — saves it as CSV for plotting. The
 // cmd/splash4-report binary is a thin flag wrapper around this package.
 package report
@@ -24,7 +24,7 @@ import (
 // Config controls how the experiments are run.
 type Config struct {
 	// Threads is the thread count used by the fixed-thread experiments
-	// (E1, E4, E5, E5b, E7, E8, E9). Zero means min(GOMAXPROCS, 64).
+	// (E1, E4, E5, E7, E8, E9). Zero means min(GOMAXPROCS, 64).
 	Threads int
 	// Sweep is the thread series for the scaling experiments (E2, E6).
 	// Nil means {1, 2, 4, ..., Threads}.
@@ -110,10 +110,10 @@ func us(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 // pct renders a normalized value's reduction as a percentage cell.
 func pct(norm float64) string { return fmt.Sprintf("%.1f%%", (1-norm)*100) }
 
-// E1NormalizedTime reproduces the headline figure: normalized execution time
+// e1NormalizedTime reproduces the headline figure: normalized execution time
 // of Splash-4 (lockfree) relative to Splash-3 (classic) per benchmark at a
 // fixed thread count, plus the average reduction.
-func E1NormalizedTime(cfg Config) error {
+func e1NormalizedTime(cfg Config) error {
 	suite, err := cfg.suite()
 	if err != nil {
 		return err
@@ -140,9 +140,9 @@ func E1NormalizedTime(cfg Config) error {
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
 
-// E2Scaling reproduces the scalability figure: speedup over the
+// e2Scaling reproduces the scalability figure: speedup over the
 // single-threaded classic run for both suites across the thread sweep.
-func E2Scaling(cfg Config) error {
+func e2Scaling(cfg Config) error {
 	suite, err := cfg.suite()
 	if err != nil {
 		return err
@@ -178,9 +178,9 @@ func E2Scaling(cfg Config) error {
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
 
-// E3Inventory reproduces the benchmark-inventory table: every workload with
+// e3Inventory reproduces the benchmark-inventory table: every workload with
 // its description and role.
-func E3Inventory(cfg Config) error {
+func e3Inventory(cfg Config) error {
 	tab := results.New("E3", "suite inventory", "benchmark", "description")
 	for _, b := range all.Suite() {
 		tab.AddRow(b.Name(), b.Description())
@@ -188,11 +188,11 @@ func E3Inventory(cfg Config) error {
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
 
-// E4SyncCensus reproduces the synchronization-construct census: how many
+// e4SyncCensus reproduces the synchronization-construct census: how many
 // lock acquisitions, barrier episodes, atomic read-modify-writes, flag
 // events and task operations each benchmark performs, and the time spent
 // blocked in synchronization.
-func E4SyncCensus(cfg Config) error {
+func e4SyncCensus(cfg Config) error {
 	suite, err := cfg.suite()
 	if err != nil {
 		return err
@@ -220,12 +220,12 @@ func E4SyncCensus(cfg Config) error {
 	return tab.Emit(cfg.Out, cfg.CSVDir, "")
 }
 
-// E6Primitives reproduces the primitive microbenchmarks behind the ISPASS
+// e6Primitives reproduces the primitive microbenchmarks behind the ISPASS
 // companion's headline (up to 9x on real machines): barrier episode latency
 // and contended counter/accumulator/queue throughput for both kits across
 // the thread sweep, plus the extension constructs (ticket lock, combining
 // tree barrier, striped counter).
-func E6Primitives(cfg Config) error {
+func e6Primitives(cfg Config) error {
 	sweep := cfg.sweep()
 	tab := results.New("E6",
 		fmt.Sprintf("primitive microbenchmarks, threads=%v", sweep),
@@ -396,22 +396,27 @@ func benchStripedCounter(threads int) time.Duration {
 	return time.Since(start) / time.Duration(perThread)
 }
 
+// Experiments is the experiment index (DESIGN.md): every experiment's ID
+// and the function that reproduces it, in the order All runs them.
+var Experiments = []struct {
+	ID  string
+	Run func(Config) error
+}{
+	{"E1", e1NormalizedTime},
+	{"E2", e2Scaling},
+	{"E3", e3Inventory},
+	{"E4", e4SyncCensus},
+	{"E5", e5MachineModel},
+	{"E6", e6Primitives},
+	{"E7", e7Ablation},
+	{"E8", e8SyncShare},
+	{"E9", e9GCCensus},
+}
+
 // All runs every experiment in order.
 func All(cfg Config) error {
-	steps := []func(Config) error{
-		E1NormalizedTime,
-		E2Scaling,
-		E3Inventory,
-		E4SyncCensus,
-		E5PerfModel,
-		E5bDESReplay,
-		E6Primitives,
-		E7Ablation,
-		E8SyncShare,
-		E9GCCensus,
-	}
-	for _, step := range steps {
-		if err := step(cfg); err != nil {
+	for _, e := range Experiments {
+		if err := e.Run(cfg); err != nil {
 			return err
 		}
 	}

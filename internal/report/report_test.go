@@ -2,14 +2,28 @@ package report_test
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/report"
 )
+
+// run runs the experiment whose ID is id.
+func run(t *testing.T, id string, cfg report.Config) error {
+	t.Helper()
+	for _, e := range report.Experiments {
+		if e.ID == id {
+			return e.Run(cfg)
+		}
+	}
+	t.Fatalf("no experiment %s", id)
+	return nil
+}
 
 // tinyConfig keeps report runs fast: two benchmarks, test inputs, one rep.
 func tinyConfig(buf *bytes.Buffer) report.Config {
@@ -26,7 +40,7 @@ func tinyConfig(buf *bytes.Buffer) report.Config {
 
 func TestE1ProducesNormalizedTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E1NormalizedTime(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E1", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -39,7 +53,7 @@ func TestE1ProducesNormalizedTable(t *testing.T) {
 
 func TestE2ProducesSweepColumns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E2Scaling(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E2", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -52,7 +66,7 @@ func TestE2ProducesSweepColumns(t *testing.T) {
 
 func TestE3ListsWholeSuite(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E3Inventory(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E3", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -66,7 +80,7 @@ func TestE3ListsWholeSuite(t *testing.T) {
 
 func TestE4ReportsCensus(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E4SyncCensus(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E4", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -77,28 +91,64 @@ func TestE4ReportsCensus(t *testing.T) {
 	}
 }
 
-func TestE5ModelsBothMachines(t *testing.T) {
+// runE5 runs E5 on tinyConfig and returns its text output and the rows
+// of its e5.csv, header included.
+func runE5(t *testing.T) (string, [][]string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := report.E5PerfModel(tinyConfig(&buf)); err != nil {
+	cfg := tinyConfig(&buf)
+	cfg.CSVDir = t.TempDir()
+	if err := run(t, "E5", cfg); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"icelake-sim", "epyc-rome", "GEOMEAN"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E5 output missing %q:\n%s", want, out)
+	f, err := os.Open(filepath.Join(cfg.CSVDir, "e5.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), rows
+}
+
+func TestE5ModelsBothMachines(t *testing.T) {
+	out, rows := runE5(t)
+	// Machine-major: each machine's benchmarks, then its GEOMEAN.
+	var want [][2]string
+	for _, m := range []string{"icelake-sim", "epyc-rome"} {
+		for _, b := range []string{"fft", "radix", "GEOMEAN"} {
+			want = append(want, [2]string{m, b})
+		}
+	}
+	if len(rows) != 1+len(want) || rows[0][0] != "machine" {
+		t.Fatalf("e5.csv has %d rows, want a header and %d:\n%s", len(rows), len(want), out)
+	}
+	for i, w := range want {
+		row := rows[1+i]
+		if row[0] != w[0] || row[1] != w[1] {
+			t.Fatalf("row %d is %s/%s, want %s/%s", i, row[0], row[1], w[0], w[1])
 		}
 	}
 }
 
-func TestE5bRunsDESReplay(t *testing.T) {
-	var buf bytes.Buffer
-	if err := report.E5bDESReplay(tinyConfig(&buf)); err != nil {
-		t.Fatal(err)
+// TestE5RunsDESReplay checks that E5 is the discrete-event replay: the
+// header names it, and every CSV row, GEOMEANs included, holds a
+// normalized time in (0, 1], since both kits replay the same trace and no
+// lock-free construct costs more than its classic counterpart.
+func TestE5RunsDESReplay(t *testing.T) {
+	out, rows := runE5(t)
+	if !strings.Contains(out, "discrete-event") {
+		t.Errorf("E5 output does not name the discrete-event replay:\n%s", out)
 	}
-	out := buf.String()
-	for _, want := range []string{"E5b", "discrete-event", "icelake-sim", "epyc-rome", "GEOMEAN"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E5b output missing %q:\n%s", want, out)
+	if len(rows) < 2 {
+		t.Fatalf("e5.csv has %d rows, want a header and data:\n%s", len(rows), out)
+	}
+	for _, row := range rows[1:] {
+		norm, err := strconv.ParseFloat(row[4], 64)
+		if err != nil || norm <= 0 || norm > 1 {
+			t.Errorf("%s/%s: normalized %q, want in (0, 1]", row[0], row[1], row[4])
 		}
 	}
 }
@@ -106,7 +156,7 @@ func TestE5bRunsDESReplay(t *testing.T) {
 func TestE6CoversPrimitives(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
-	if err := report.E6Primitives(cfg); err != nil {
+	if err := run(t, "E6", cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -120,7 +170,7 @@ func TestE6CoversPrimitives(t *testing.T) {
 
 func TestE7RunsKitLadder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E7Ablation(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E7", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -133,7 +183,7 @@ func TestE7RunsKitLadder(t *testing.T) {
 
 func TestE8ReportsSyncShare(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E8SyncShare(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E8", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -146,7 +196,7 @@ func TestE8ReportsSyncShare(t *testing.T) {
 
 func TestE9ReportsGCCensus(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report.E9GCCensus(tinyConfig(&buf)); err != nil {
+	if err := run(t, "E9", tinyConfig(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -161,7 +211,7 @@ func TestCSVExport(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.CSVDir = t.TempDir()
-	if err := report.E1NormalizedTime(cfg); err != nil {
+	if err := run(t, "E1", cfg); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(cfg.CSVDir, "e1.csv"))
@@ -177,7 +227,7 @@ func TestUnknownBenchmarkRejected(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
 	cfg.Benchmarks = []string{"nope"}
-	if err := report.E1NormalizedTime(cfg); err == nil {
+	if err := run(t, "E1", cfg); err == nil {
 		t.Fatal("E1 accepted an unknown benchmark")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 )
 
 // CI is a bootstrap confidence interval for a speedup ratio. Point is the
@@ -77,22 +76,6 @@ func BootstrapCI(base, target []float64, level float64, resamples int, seed int6
 	ci.Lo = percentileSorted(ratios, alpha/2)
 	ci.Hi = percentileSorted(ratios, 1-alpha/2)
 	return ci, nil
-}
-
-// SpeedupCI is BootstrapCI over two duration samples, the shape the harness
-// produces: it reports how much faster `target` is than `base` (base/target,
-// >1 means target wins) with a bootstrap interval.
-func SpeedupCI(base, target *Sample, level float64, resamples int, seed int64) (CI, error) {
-	return BootstrapCI(durationsToFloats(base.Durations()), durationsToFloats(target.Durations()),
-		level, resamples, seed)
-}
-
-func durationsToFloats(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d)
-	}
-	return out
 }
 
 func mean(xs []float64) float64 {

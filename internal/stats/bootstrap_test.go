@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestBootstrapCIDegenerate(t *testing.T) {
@@ -104,29 +103,6 @@ func TestBootstrapCIRejectsBadInput(t *testing.T) {
 	}
 	if _, err := BootstrapCI([]float64{math.NaN()}, []float64{1}, 0.95, 100, 1); err == nil {
 		t.Error("accepted NaN run time")
-	}
-}
-
-func TestSpeedupCIMatchesBootstrapCI(t *testing.T) {
-	base, target := &Sample{}, &Sample{}
-	for _, ms := range []int{20, 22, 21} {
-		base.Add(time.Duration(ms) * time.Millisecond)
-	}
-	for _, ms := range []int{10, 11, 10} {
-		target.Add(time.Duration(ms) * time.Millisecond)
-	}
-	got, err := SpeedupCI(base, target, 0.95, 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BootstrapCI(
-		[]float64{20e6, 22e6, 21e6},
-		[]float64{10e6, 11e6, 10e6}, 0.95, 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("SpeedupCI %v != BootstrapCI on the same values %v", got, want)
 	}
 }
 
