@@ -12,7 +12,7 @@
 // -drain-timeout, flushes the store, and exits.
 //
 // With -node-id and -peers the daemon joins a cluster (internal/cluster):
-// job specs route to their consistent-hash owner, idle nodes steal queued
+// job specs route to their rendezvous-hash owner, idle nodes steal queued
 // work from busy peers, and every node replicates the others' result
 // journals so reads answer cluster-wide. See docs/CLUSTER.md.
 //

@@ -1,4 +1,4 @@
-// Package cluster shards splash4d across nodes: consistent-hash routing of
+// Package cluster shards splash4d across nodes: rendezvous-hash routing of
 // job specs to their owning node, lock-free work stealing of queued jobs
 // between peers, and journal shipping so every node answers read queries
 // (/compare, /jobs) over the whole cluster's results.
@@ -7,9 +7,9 @@
 // three additions layered on from the outside — the server never imports
 // this package:
 //
-//   - Routing: Handler wraps the server's API. POST /runs hashes the
-//     normalized spec key on a virtual-node consistent-hash ring and
-//     forwards to the owner (rendezvous fallback while the owner is down);
+//   - Routing: Handler wraps the server's API. POST /runs picks the
+//     normalized spec key's owner by rendezvous hashing over the healthy
+//     nodes and forwards to it;
 //     GET /runs/{id} routes by the node name embedded in the job ID.
 //     X-Request-ID propagates across the hop and a hop-guard header stops
 //     forwarding loops.
@@ -50,7 +50,7 @@ type Config struct {
 	// Self is this node's ID; must equal the server's Config.NodeID.
 	Self string
 	// Peers maps every other node's ID to its base URL
-	// ("http://127.0.0.1:7101"). The routing ring is Self + Peers.
+	// ("http://127.0.0.1:7101"). Routing hashes over Self + Peers.
 	Peers map[string]string
 	// Server is the local daemon the cluster layer wraps. Required.
 	Server *server.Server
@@ -216,7 +216,6 @@ type padCounter struct {
 type Cluster struct {
 	cfg       Config
 	srv       *server.Server
-	ring      *ring
 	peers     map[string]*peer // by ID
 	order     []string         // all node IDs incl. self, sorted
 	transport peernet.PeerTransport
@@ -283,7 +282,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	sort.Strings(nodes)
 	c.order = nodes
-	c.ring = newRing(nodes)
 	c.srv.SetClusterHooks(&server.ClusterHooks{
 		Times:   c.pooledTimes,
 		Records: c.replicaRecords,
@@ -305,7 +303,7 @@ func (c *Cluster) Start() {
 	go c.stealLoop()
 	go c.reclaimLoop()
 	go c.repairLoop()
-	c.cfg.Logf("cluster: node %s up, ring %v", c.cfg.Self, c.order)
+	c.cfg.Logf("cluster: node %s up, nodes %v", c.cfg.Self, c.order)
 }
 
 // Stop ends the background loops and waits for them. The wrapped server's
@@ -358,18 +356,11 @@ func (c *Cluster) healthyNodes() []string {
 }
 
 // routeOwner resolves the node that should admit a spec with the given
-// routing key right now: the ring owner when routable, otherwise the
-// rendezvous stand-in among healthy nodes, otherwise self (a node serving
-// requests is evidence enough of its own liveness).
+// routing key right now: the rendezvous choice among the healthy nodes.
+// Self is always among them (a node serving requests is evidence enough of
+// its own liveness), so there always is one.
 func (c *Cluster) routeOwner(key string) string {
-	owner := c.ring.owner(key)
-	if owner == c.cfg.Self || c.peers[owner].up.Load() {
-		return owner
-	}
-	if stand := rendezvous(key, c.healthyNodes()); stand != "" {
-		return stand
-	}
-	return c.cfg.Self
+	return rendezvous(key, c.healthyNodes())
 }
 
 // pooledTimes is the ClusterHooks.Times implementation: one population's

@@ -548,7 +548,7 @@ func TestClusterKillThiefMidTheftReclaimsAndReroutes(t *testing.T) {
 		if err := a.srv.NormalizeSpec(&sp); err != nil {
 			t.Fatal(err)
 		}
-		if a.cl.ring.owner(sp.Key()) == "c" {
+		if rendezvous(sp.Key(), a.cl.order) == "c" {
 			rerouted = submitTo(t, a.base, specBody("fft", "classic", seed), false)
 		}
 	}

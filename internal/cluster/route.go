@@ -15,10 +15,10 @@ import (
 // Request routing. Handler serves the peer API itself and wraps the local
 // server's public API with two routed paths:
 //
-//   - POST /runs: the normalized spec key is hashed on the ring; when the
-//     owner is another (healthy) node the request is proxied there, so
-//     identical specs land — and singleflight-dedup — on the same node no
-//     matter which node the client hit. If the hop fails at the transport
+//   - POST /runs: the normalized spec key's owner is its rendezvous choice
+//     among the healthy nodes; when the owner is another node the request
+//     is proxied there, so identical specs land — and singleflight-dedup —
+//     on the same node no matter which node the client hit. If the hop fails at the transport
 //     level the job is admitted locally instead: availability over
 //     placement.
 //
@@ -29,7 +29,7 @@ import (
 // Proxied requests carry the client's X-Request-ID (minted here when
 // absent) so both nodes' access logs share one ID, and a hop-guard header
 // names the forwarding node: a request that already carries it is served
-// locally, never re-forwarded, so misconfigured rings degrade to local
+// locally, never re-forwarded, so misconfigured routing degrades to local
 // service instead of looping.
 
 // forwardedByHeader is the hop guard. Its value is the forwarding node's
@@ -55,7 +55,7 @@ func (c *Cluster) Handler() http.Handler {
 
 // routeSubmit forwards POST /runs to the spec's owning node.
 //
-//sync4:req SYNC4-CLUS-001 v2 MUST A request that arrives carrying the hop-guard header is served locally and never re-forwarded, so a misconfigured or disagreeing ring degrades to local service instead of a forwarding loop.
+//sync4:req SYNC4-CLUS-001 v2 MUST A request that arrives carrying the hop-guard header is served locally and never re-forwarded, so misconfigured or disagreeing routing degrades to local service instead of a forwarding loop.
 func (c *Cluster) routeSubmit(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))

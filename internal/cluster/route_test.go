@@ -9,7 +9,7 @@ import (
 // TestHopGuardServesLocallyNeverReforwards submits a spec owned by the
 // OTHER node with the hop-guard header already set: the receiving node
 // must serve it locally — the returned job ID names the receiving node as
-// owner — and must not forward it anywhere, so a ring disagreement can
+// owner — and must not forward it anywhere, so a routing disagreement can
 // degrade service placement but never build a forwarding loop.
 //
 //sync4:covers SYNC4-CLUS-001
@@ -17,7 +17,7 @@ func TestHopGuardServesLocallyNeverReforwards(t *testing.T) {
 	nodes := startTestCluster(t, []string{"a", "b"}, nil)
 	a := nodes["a"]
 
-	// Find a spec the ring places on b.
+	// Find a spec routed to b.
 	seed := int64(-1)
 	for s := int64(0); s < 64; s++ {
 		sp := server.Spec{Workload: "fft", Kit: "lockfree", Threads: 2, Scale: "test", Seed: s, Reps: 2}

@@ -31,7 +31,7 @@ type Spec struct {
 
 // Key is the singleflight identity: two submissions with equal keys measure
 // the same thing, so while one is queued or running the other rides along.
-// It is also the consistent-hash routing key — internal/cluster hashes it
+// It is also the rendezvous-hash routing key — internal/cluster hashes it
 // to pick the owning node, so identical specs land on (and dedup at) the
 // same node regardless of which node the client hit.
 func (sp Spec) Key() string {

@@ -1,32 +1,14 @@
-// Package lu implements the LU kernel: blocked dense LU factorization of an
-// n x n matrix without pivoting (the input is made diagonally dominant, as
-// in the original benchmark, so pivoting is unnecessary).
-//
-// The parallel structure follows the Splash-2 contiguous-blocks code: the
-// matrix is divided into B x B blocks owned round-robin by threads; each
-// outer iteration k factors the diagonal block, then the owners update their
-// perimeter blocks, then their interior blocks, with barriers between the
-// three sub-phases. LU is the most barrier-intensive kernel of the suite
-// (3 episodes per outer iteration), which is why the barrier rewrite in
-// Splash-4 moves it so much.
-//
-// The interior update, three quarters of the run, keeps a 2 x 4 tile of the
-// destination block in registers for its whole inner-product loop, as a
-// compiler makes of the original's loop nest; every element still goes
-// through the same operations in the same order, so the factored matrix is
-// the same bits as the row-at-a-time loop's.
-//
-// Scale mapping: test n=128/B=16, small n=256/B=16, default n=512/B=16 (the
-// Splash default input), large n=1024/B=32.
+// Package lu implements the LU kernel with the original suite's
+// "non-contiguous blocks" layout: the matrix is one row-major n x n array,
+// and a B x B block is B strided rows of it. The factorization — phases,
+// kernels, Verify — is package lucommon's, shared with package lucont,
+// which stores every block as its own dense tile; the suite ships both
+// layouts because the locality difference is measurable.
 package lu
 
 import (
-	"fmt"
-	"math"
-	"math/rand"
-
 	"repro/internal/core"
-	"repro/internal/sync4"
+	"repro/internal/workloads/lucommon"
 )
 
 // Benchmark is the LU kernel descriptor.
@@ -43,270 +25,22 @@ func (Benchmark) Description() string {
 	return "blocked dense LU factorization without pivoting (kernel)"
 }
 
-func sizes(s core.Scale) (n, block int) {
-	switch s {
-	case core.ScaleTest:
-		return 128, 16
-	case core.ScaleSmall:
-		return 256, 16
-	case core.ScaleDefault:
-		return 512, 16
-	case core.ScaleLarge:
-		return 1024, 32
-	default:
-		return 512, 16
-	}
-}
-
 // Prepare implements core.Benchmark.
 func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n, block := sizes(cfg.Scale)
-	if block%4 != 0 {
-		return nil, fmt.Errorf("lu: block %d is not a whole number of 2x4 update tiles", block)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	inst := &instance{
-		threads: cfg.Threads,
-		n:       n,
-		block:   block,
-		nb:      n / block,
-		a:       make([]float64, n*n),
-		orig:    make([]float64, n*n),
-		barrier: cfg.Kit.NewBarrier(cfg.Threads),
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			inst.a[i*n+j] = rng.Float64() - 0.5
-		}
-		// Diagonal dominance guarantees a stable pivot-free
-		// factorization, matching the original input generator.
-		inst.a[i*n+i] += float64(n)
-	}
-	copy(inst.orig, inst.a)
-	return inst, nil
+	return lucommon.Prepare(cfg, "lu", rowMajor)
 }
 
-type instance struct {
-	threads int
-	n       int
-	block   int
-	nb      int // blocks per dimension
-	a       []float64
-	orig    []float64
-	barrier sync4.Barrier
-	ran     bool
-}
-
-// owner returns the thread that owns block (bi, bj): a 2-D round-robin
-// scatter, as in the original decomposition.
-func (in *instance) owner(bi, bj int) int {
-	return (bi*in.nb + bj) % in.threads
-}
-
-// Run implements core.Instance.
-func (in *instance) Run() error {
-	if in.ran {
-		return fmt.Errorf("lu: instance reused")
-	}
-	in.ran = true
-	core.Parallel(in.threads, in.worker)
-	return nil
-}
-
-func (in *instance) worker(tid int) {
-	bs, nb := in.block, in.nb
-	for kb := 0; kb < nb; kb++ {
-		k0 := kb * bs
-		// Phase 1: the diagonal block's owner factors it in place.
-		if in.owner(kb, kb) == tid {
-			in.factorDiag(k0)
-		}
-		in.barrier.Wait()
-
-		// Phase 2: perimeter blocks. Row blocks A[kb][j] become U
-		// pieces (solve L00 * X = A); column blocks A[i][kb] become
-		// L pieces (solve X * U00 = A).
-		for jb := kb + 1; jb < nb; jb++ {
-			if in.owner(kb, jb) == tid {
-				in.solveRowBlock(k0, jb*bs)
-			}
-		}
-		for ib := kb + 1; ib < nb; ib++ {
-			if in.owner(ib, kb) == tid {
-				in.solveColBlock(ib*bs, k0)
-			}
-		}
-		in.barrier.Wait()
-
-		// Phase 3: interior update A[i][j] -= L[i][kb] * U[kb][j].
-		for ib := kb + 1; ib < nb; ib++ {
-			for jb := kb + 1; jb < nb; jb++ {
-				if in.owner(ib, jb) == tid {
-					in.updateInterior(ib*bs, jb*bs, k0)
-				}
-			}
-		}
-		in.barrier.Wait()
-	}
-}
-
-// factorDiag performs an unblocked LU on the bs x bs diagonal block at
-// (k0, k0).
-func (in *instance) factorDiag(k0 int) {
-	n, bs := in.n, in.block
-	for k := 0; k < bs; k++ {
-		pivot := in.a[(k0+k)*n+k0+k]
-		for i := k + 1; i < bs; i++ {
-			in.a[(k0+i)*n+k0+k] /= pivot
-			lik := in.a[(k0+i)*n+k0+k]
-			for j := k + 1; j < bs; j++ {
-				in.a[(k0+i)*n+k0+j] -= lik * in.a[(k0+k)*n+k0+j]
-			}
+// rowMajor allocates one row-major n x n array; block (bi, bj) is a view
+// into it starting at element (bi*bs, bj*bs), its rows n apart.
+func rowMajor(n, bs int) ([][]float64, int) {
+	a := make([]float64, n*n)
+	nb := n / bs
+	blocks := make([][]float64, nb*nb)
+	for bi := 0; bi < nb; bi++ {
+		for bj := 0; bj < nb; bj++ {
+			off := bi*bs*n + bj*bs
+			blocks[bi*nb+bj] = a[off : off+(bs-1)*n+bs]
 		}
 	}
-}
-
-// solveRowBlock computes U[k0-block][j0-block]: solves L00 * X = A where L00
-// is the unit-lower part of the factored diagonal block.
-func (in *instance) solveRowBlock(k0, j0 int) {
-	n, bs := in.n, in.block
-	for i := 1; i < bs; i++ {
-		for r := 0; r < i; r++ {
-			lir := in.a[(k0+i)*n+k0+r]
-			for j := 0; j < bs; j++ {
-				in.a[(k0+i)*n+j0+j] -= lir * in.a[(k0+r)*n+j0+j]
-			}
-		}
-	}
-}
-
-// solveColBlock computes L[i0-block][k0-block]: solves X * U00 = A where U00
-// is the upper part of the factored diagonal block.
-func (in *instance) solveColBlock(i0, k0 int) {
-	n, bs := in.n, in.block
-	for j := 0; j < bs; j++ {
-		ujj := in.a[(k0+j)*n+k0+j]
-		for i := 0; i < bs; i++ {
-			sum := in.a[(i0+i)*n+k0+j]
-			for r := 0; r < j; r++ {
-				sum -= in.a[(i0+i)*n+k0+r] * in.a[(k0+r)*n+k0+j]
-			}
-			in.a[(i0+i)*n+k0+j] = sum / ujj
-		}
-	}
-}
-
-// updateInterior applies A[i0][j0] -= L[i0][k0] * U[k0][j0]. It walks the
-// destination block in 2 x 4 tiles held in registers for the whole r loop,
-// loading each U[r][j..j+3] once for both rows; every element still gets
-// a -= l[i][r]*u[r][j] for r = 0..bs-1 in order, so the result is the same
-// bits as the row-at-a-time loop. Prepare guarantees bs % 4 == 0.
-func (in *instance) updateInterior(i0, j0, k0 int) {
-	n, bs := in.n, in.block
-	for i := 0; i < bs; i += 2 {
-		l0 := in.a[(i0+i)*n+k0 : (i0+i)*n+k0+bs]
-		l1 := in.a[(i0+i+1)*n+k0 : (i0+i+1)*n+k0+bs]
-		a0 := in.a[(i0+i)*n+j0 : (i0+i)*n+j0+bs]
-		a1 := in.a[(i0+i+1)*n+j0 : (i0+i+1)*n+j0+bs]
-		for j := 0; j < bs; j += 4 {
-			c0, c1, c2, c3 := a0[j], a0[j+1], a0[j+2], a0[j+3]
-			d0, d1, d2, d3 := a1[j], a1[j+1], a1[j+2], a1[j+3]
-			for r, x := range l0 {
-				y := l1[r]
-				u := in.a[(k0+r)*n+j0+j : (k0+r)*n+j0+j+4]
-				u0, u1, u2, u3 := u[0], u[1], u[2], u[3]
-				c0 -= x * u0
-				c1 -= x * u1
-				c2 -= x * u2
-				c3 -= x * u3
-				d0 -= y * u0
-				d1 -= y * u1
-				d2 -= y * u2
-				d3 -= y * u3
-			}
-			a0[j], a0[j+1], a0[j+2], a0[j+3] = c0, c1, c2, c3
-			a1[j], a1[j+1], a1[j+2], a1[j+3] = d0, d1, d2, d3
-		}
-	}
-}
-
-// Verify implements core.Instance: it checks L*U == A_orig by probing with
-// random vectors (y = U*x, z = L*y must equal A_orig*x), which is O(n^2)
-// per probe and catches any misfactored block. The bound is a backward
-// error, 8*eps*n*|A|inf*|x|inf: over seeds 1, 3, 7 and 77 the float64
-// kernel's worst row measures 0.02-0.06 of eps*n*|A|inf*|x|inf at n = 128,
-// 256 and 512, and a kernel that rounds every update to float32 measures
-// 1.2e7-1.4e7 of it.
-func (in *instance) Verify() error {
-	if !in.ran {
-		return fmt.Errorf("lu: verify before run")
-	}
-	n := in.n
-	normA := infNorm(in.orig, n)
-	rng := rand.New(rand.NewSource(12345))
-	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	want := make([]float64, n)
-	for probe := 0; probe < 3; probe++ {
-		var normX float64
-		for i := range x {
-			x[i] = rng.Float64() - 0.5
-			normX = math.Max(normX, math.Abs(x[i]))
-		}
-		// y = U * x (U = upper triangle of a, including diagonal).
-		for i := 0; i < n; i++ {
-			var sum float64
-			row := in.a[i*n : (i+1)*n]
-			for j := i; j < n; j++ {
-				sum += row[j] * x[j]
-			}
-			y[i] = sum
-		}
-		// z = L * y (L = unit lower triangle of a).
-		for i := 0; i < n; i++ {
-			sum := y[i]
-			row := in.a[i*n : (i+1)*n]
-			for j := 0; j < i; j++ {
-				sum += row[j] * y[j]
-			}
-			z[i] = sum
-		}
-		// want = A_orig * x.
-		for i := 0; i < n; i++ {
-			var sum float64
-			row := in.orig[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				sum += row[j] * x[j]
-			}
-			want[i] = sum
-		}
-		tol := 8 * eps * float64(n) * normA * normX
-		for i := 0; i < n; i++ {
-			if d := math.Abs(z[i] - want[i]); d > tol {
-				return fmt.Errorf("lu: probe %d row %d: L*U*x=%g, A*x=%g (|diff|=%g, tol=%g)",
-					probe, i, z[i], want[i], d, tol)
-			}
-		}
-	}
-	return nil
-}
-
-// eps is float64's machine epsilon.
-const eps = 0x1p-52
-
-// infNorm returns the largest absolute row sum of the n x n matrix a.
-func infNorm(a []float64, n int) float64 {
-	var norm float64
-	for i := 0; i < n; i++ {
-		var sum float64
-		for _, v := range a[i*n : (i+1)*n] {
-			sum += math.Abs(v)
-		}
-		norm = math.Max(norm, sum)
-	}
-	return norm
+	return blocks, n
 }

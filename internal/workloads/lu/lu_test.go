@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sync4/classic"
 	"repro/internal/workloads/lu"
+	"repro/internal/workloads/lucommon"
 	"repro/internal/workloads/workloadtest"
 )
 
@@ -35,20 +36,25 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	mk(5)
 }
 
+// TestVerifyCatchesCorruption perturbs one entry of L by a relative 1e-6
+// after a correct factorization, once inside the first diagonal block and
+// once in the last block row: Verify must reject both.
 func TestVerifyCatchesCorruption(t *testing.T) {
-	// White-box-ish: run correctly, then check a deliberately wrong probe
-	// tolerance path by confirming Verify passes (sanity that tolerance
-	// is not so loose it always passes is covered by corrupting input:
-	// a mismatched orig must fail).
-	inst, err := lu.New().Prepare(core.Config{Threads: 2, Kit: classic.New(), Scale: core.ScaleTest, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Verify(); err != nil {
-		t.Fatal(err)
+	for _, at := range [][2]int{{1, 0}, {127, 1}} {
+		inst, err := lu.New().Prepare(core.Config{Threads: 2, Kit: classic.New(), Scale: core.ScaleTest, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		*inst.(*lucommon.LU).At(at[0], at[1]) *= 1 + 1e-6
+		if err := inst.Verify(); err == nil {
+			t.Fatalf("Verify accepted L[%d][%d] off by a relative 1e-6", at[0], at[1])
+		}
 	}
 }
 

@@ -1,0 +1,56 @@
+package lucommon_test
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sync4"
+	"repro/internal/sync4/classic"
+	"repro/internal/sync4/lockfree"
+	"repro/internal/workloads/lu"
+	"repro/internal/workloads/lucommon"
+	"repro/internal/workloads/lucont"
+)
+
+// TestLayoutsFactorIdentically holds lu and lu-contiguous to the same factor
+// bits, element by element: the engine's arithmetic is the same in both
+// layouts, so any difference is an indexing slip in one of them that
+// Verify's tolerance might let through.
+func TestLayoutsFactorIdentically(t *testing.T) {
+	factor := func(b core.Benchmark, cfg core.Config) *lucommon.LU {
+		inst, err := b.Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		return inst.(*lucommon.LU)
+	}
+	for _, scale := range []core.Scale{core.ScaleTest, core.ScaleSmall, core.ScaleDefault} {
+		if scale == core.ScaleDefault && testing.Short() {
+			continue
+		}
+		for _, seed := range []int64{1, 7, 77} {
+			for _, kit := range []sync4.Kit{classic.New(), lockfree.New()} {
+				for _, threads := range []int{1, 2, 3, 7} {
+					cfg := core.Config{Threads: threads, Kit: kit, Scale: scale, Seed: seed}
+					rows, tiles := factor(lu.New(), cfg), factor(lucont.New(), cfg)
+					n, _ := rows.Size()
+					for i := 0; i < n; i++ {
+						for j := 0; j < n; j++ {
+							if r, c := *rows.At(i, j), *tiles.At(i, j); math.Float64bits(r) != math.Float64bits(c) {
+								t.Fatalf("scale %s seed %d, %s, %d threads: element (%d, %d) is %v in lu, %v in lu-contiguous",
+									scale, seed, kit.Name(), threads, i, j, r, c)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
