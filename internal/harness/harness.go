@@ -29,8 +29,9 @@ type Options struct {
 	Verify bool
 	// QuiesceGC forces a collection before each timed repetition and
 	// disables the collector during it, restoring the previous GC target
-	// afterwards. This trades memory headroom for lower variance — the
-	// Go stand-in for the bare-metal runs in the paper.
+	// as soon as Run returns, so Verify runs with the collector on. This
+	// trades memory headroom for lower variance — the Go stand-in for the
+	// bare-metal runs in the paper.
 	QuiesceGC bool
 	// Instrument wraps the kit so synchronization events are counted.
 	// The census of the last repetition is stored in Result.Sync.
@@ -235,26 +236,43 @@ func locateStall(diag *StallDiagnosis, res Result, phase string, rep int) *Stall
 	return diag
 }
 
-// runOnce prepares one instance, times Run, and optionally verifies. The
-// returned Region brackets exactly the Instance.Run call; when sampler is
-// non-nil the same bracket is measured with runtime/metrics. With a
-// cancellable context or an armed watchdog the Run is supervised on its
-// own goroutine (runGuarded); otherwise it runs inline, exactly as before.
+// runOnce prepares one instance, times Run (timedRun), and optionally
+// verifies.
 func runOnce(ctx context.Context, b core.Benchmark, cfg core.Config, opt Options, verify bool, sampler *trace.Sampler) (Region, *trace.RuntimeSample, *StallDiagnosis, error) {
 	inst, err := b.Prepare(cfg)
 	if err != nil {
 		return Region{}, nil, nil, fmt.Errorf("prepare: %w", err)
 	}
+	region, rs, diag, err := timedRun(ctx, inst, opt, sampler)
+	if err != nil {
+		return region, rs, diag, fmt.Errorf("run: %w", err)
+	}
+	if verify {
+		if err := inst.Verify(); err != nil {
+			return region, rs, nil, fmt.Errorf("verify: %w", err)
+		}
+	}
+	return region, rs, nil, nil
+}
+
+// timedRun runs inst.Run. The returned Region brackets exactly that call;
+// when sampler is non-nil the same bracket is measured with
+// runtime/metrics. With a cancellable context or an armed watchdog the Run
+// is supervised on its own goroutine (runGuarded); otherwise it runs
+// inline. Under QuiesceGC the collector is off for exactly that call: it is
+// restored as soon as Run returns or is abandoned, so Verify runs with it
+// on.
+func timedRun(ctx context.Context, inst core.Instance, opt Options, sampler *trace.Sampler) (Region, *trace.RuntimeSample, *StallDiagnosis, error) {
 	if opt.QuiesceGC {
 		runtime.GC()
-		prev := debug.SetGCPercent(-1)
-		defer debug.SetGCPercent(prev)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	}
 	if sampler != nil {
 		sampler.Start()
 	}
 	var region Region
 	var diag *StallDiagnosis
+	var err error
 	if opt.RepTimeout > 0 || ctx.Done() != nil {
 		region, diag, err = runGuarded(ctx, inst, opt)
 	} else {
@@ -267,15 +285,7 @@ func runOnce(ctx context.Context, b core.Benchmark, cfg core.Config, opt Options
 		s := sampler.Stop()
 		rs = &s
 	}
-	if err != nil {
-		return region, rs, diag, fmt.Errorf("run: %w", err)
-	}
-	if verify {
-		if err := inst.Verify(); err != nil {
-			return region, rs, nil, fmt.Errorf("verify: %w", err)
-		}
-	}
-	return region, rs, nil, nil
+	return region, rs, diag, err
 }
 
 // Pair measures b under both kits with otherwise identical configuration

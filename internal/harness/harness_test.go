@@ -3,6 +3,7 @@ package harness_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ type fakeBench struct {
 	verifies   *int
 	useKit     bool
 	onRun      func() // called inside every Instance.Run, if set
+	onVerify   func() // called inside every Instance.Verify, if set
 }
 
 func (f *fakeBench) Name() string        { return f.name }
@@ -68,7 +70,12 @@ func (i *fakeInstance) Run() error {
 	return i.b.runErr
 }
 
-func (i *fakeInstance) Verify() error { return i.b.verifyErr }
+func (i *fakeInstance) Verify() error {
+	if i.b.onVerify != nil {
+		i.b.onVerify()
+	}
+	return i.b.verifyErr
+}
 
 func TestRunRepetitions(t *testing.T) {
 	var prepares, runs int
@@ -156,6 +163,40 @@ func TestQuiesceGCRestoresTarget(t *testing.T) {
 	// The harness must restore the GC target it found.
 	if got := debug.SetGCPercent(100); got != 100 {
 		t.Fatalf("GC percent left at %d after QuiesceGC runs", got)
+	}
+}
+
+// garbage is where TestQuiesceGCCollectsDuringVerify drops its allocations,
+// so the compiler cannot elide them.
+var garbage []byte
+
+// TestQuiesceGCCollectsDuringVerify: QuiesceGC turns the collector off for
+// the timed Run only. A Verify that allocates 256 MiB of garbage must see
+// collections, on the inline path and on the watchdog's.
+func TestQuiesceGCCollectsDuringVerify(t *testing.T) {
+	prev := debug.SetGCPercent(100)
+	defer debug.SetGCPercent(prev)
+
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		var cycles uint32
+		b := &fakeBench{name: "gc", onVerify: func() {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.NumGC
+			for i := 0; i < 256; i++ {
+				garbage = make([]byte, 1<<20)
+			}
+			runtime.ReadMemStats(&ms)
+			cycles = ms.NumGC - before
+		}}
+		opt := harness.Options{Reps: 1, Verify: true, QuiesceGC: true, RepTimeout: timeout}
+		if _, err := harness.Run(b, core.Config{Threads: 1, Kit: classic.New()}, opt); err != nil {
+			t.Fatal(err)
+		}
+		garbage = nil
+		if cycles == 0 {
+			t.Errorf("RepTimeout %v: no collection while Verify allocated 256 MiB", timeout)
+		}
 	}
 }
 

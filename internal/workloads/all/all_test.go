@@ -1,9 +1,12 @@
 package all_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sync4"
+	"repro/internal/sync4/classic"
 	"repro/internal/sync4/lockfree"
 	"repro/internal/workloads/all"
 )
@@ -77,5 +80,58 @@ func TestWholeSuiteIntegration(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// prepareBudgetKiB is what one Prepare may allocate at small scale with two
+// threads, under either kit: about 10 % over the bytes measured once Verify
+// regenerated every input from the seed. A program that keeps a copy of its
+// input again goes over: radix's copy is 2 MiB at this scale, each LU's and
+// cholesky's 0.5 MiB.
+var prepareBudgetKiB = map[string]uint64{
+	"cholesky":         576,
+	"fft":              2304,
+	"lu-contiguous":    576,
+	"lu":               576,
+	"radix":            4608,
+	"barnes":           1664,
+	"fmm":              320,
+	"ocean-contiguous": 448,
+	"ocean":            448,
+	"radiosity":        384,
+	"raytrace":         1728,
+	"volrend":          2496,
+	"water-nsquared":   64,
+	"water-spatial":    64,
+}
+
+// TestPrepareKeepsNoInputCopy holds every program's Prepare to its budget.
+// Prepare runs again before every timed repetition, so its bytes are paid
+// in page faults on every one. The test is not parallel, so the allocation
+// counter sees this goroutine's Prepare alone; the least of three tries
+// discards a stray background allocation.
+func TestPrepareKeepsNoInputCopy(t *testing.T) {
+	for _, b := range all.Suite() {
+		budget, ok := prepareBudgetKiB[b.Name()]
+		if !ok {
+			t.Errorf("%s has no Prepare budget", b.Name())
+			continue
+		}
+		for _, kit := range []sync4.Kit{classic.New(), lockfree.New()} {
+			used := ^uint64(0)
+			for try := 0; try < 3; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := b.Prepare(core.Config{Threads: 2, Kit: kit, Scale: core.ScaleSmall, Seed: 1})
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				used = min(used, after.TotalAlloc-before.TotalAlloc)
+			}
+			if used > budget<<10 {
+				t.Errorf("%s/%s: Prepare allocates %d KiB, budget %d KiB", b.Name(), kit.Name(), used>>10, budget)
+			}
+		}
 	}
 }

@@ -17,6 +17,10 @@
 //
 // Scale mapping: test n=128/B=16, small n=256/B=16, default n=512/B=16,
 // large n=1024/B=32.
+//
+// Memory: the matrix alone, 8*n^2 bytes (2 MiB at default scale). No copy of
+// the input is kept: Verify regenerates it from the seed through fillSPD, as
+// Prepare drew it.
 package cholesky
 
 import (
@@ -66,26 +70,16 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 	if block%4 != 0 {
 		return nil, fmt.Errorf("cholesky: block %d is not a whole number of 2x4 update tiles", block)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	inst := &instance{
 		threads: cfg.Threads,
 		n:       n,
 		block:   block,
 		nb:      n / block,
+		seed:    cfg.Seed,
 		a:       make([]float64, n*n),
-		orig:    make([]float64, n*n),
 		barrier: cfg.Kit.NewBarrier(cfg.Threads),
 	}
-	// Symmetric, strongly diagonally dominant => positive definite.
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := rng.Float64() - 0.5
-			inst.a[i*n+j] = v
-			inst.a[j*n+i] = v
-		}
-		inst.a[i*n+i] += float64(n)
-	}
-	copy(inst.orig, inst.a)
+	fillSPD(inst.a, n, cfg.Seed)
 	// One pair of task counters per outer iteration avoids reset races.
 	inst.trsmCtr = make([]sync4.Counter, inst.nb)
 	inst.updCtr = make([]sync4.Counter, inst.nb)
@@ -96,13 +90,28 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 	return inst, nil
 }
 
+// fillSPD draws the seed's n x n input into a: symmetric and strongly
+// diagonally dominant, so positive definite. Prepare and Verify share it, so
+// Verify checks the factor against exactly the input Run was given.
+func fillSPD(a []float64, n int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			v := rng.Float64() - 0.5
+			a[i*n+j] = v
+			a[j*n+i] = v
+		}
+		a[i*n+i] += float64(n)
+	}
+}
+
 type instance struct {
 	threads int
 	n       int
 	block   int
 	nb      int
+	seed    int64 // the input is regenerated from it by Verify
 	a       []float64
-	orig    []float64
 	barrier sync4.Barrier
 	trsmCtr []sync4.Counter // dynamic task tickets for the solve phase
 	updCtr  []sync4.Counter // dynamic task tickets for the update phase
@@ -242,8 +251,8 @@ func (in *instance) updateBlock(i0, j0, k0 int) {
 	}
 }
 
-// Verify implements core.Instance: probes L*L^T*x against A_orig*x with
-// random vectors. The bound is a backward error, 8*eps*n*|A|inf*|x|inf:
+// Verify implements core.Instance: probes L*L^T*x against A_orig*x, A_orig
+// the input as regenerated from the seed, with random vectors. The bound is a backward error, 8*eps*n*|A|inf*|x|inf:
 // over seeds 1, 3, 7 and 77 the float64 kernel's worst row measures
 // 0.02-0.07 of eps*n*|A|inf*|x|inf at n = 128, 256 and 512, and a kernel
 // that rounds every update to float32 measures 3.0e6-3.8e6 of it.
@@ -252,7 +261,9 @@ func (in *instance) Verify() error {
 		return fmt.Errorf("cholesky: verify before run")
 	}
 	n := in.n
-	normA := infNorm(in.orig, n)
+	orig := make([]float64, n*n)
+	fillSPD(orig, n, in.seed)
+	normA := infNorm(orig, n)
 	rng := rand.New(rand.NewSource(54321))
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -283,7 +294,7 @@ func (in *instance) Verify() error {
 		}
 		for i := 0; i < n; i++ {
 			var sum float64
-			row := in.orig[i*n : (i+1)*n]
+			row := orig[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				sum += row[j] * x[j]
 			}

@@ -95,11 +95,22 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 }
 
 // input fills x with the seed's points, uniform in [-0.5, 0.5) in both parts.
-// Verify regenerates them rather than keeping a copy.
+// Verify regenerates them rather than keeping a copy. The draws are
+// rand.New(rand.NewSource(seed)).Float64's stream, taken from the source
+// directly.
 func input(x []complex128, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
+	// uniform is rand.Rand.Float64's definition, resampling the one value
+	// that rounds up to 1.
+	uniform := func() float64 {
+		for {
+			if f := float64(src.Int63()) / (1 << 63); f != 1 {
+				return f
+			}
+		}
+	}
 	for i := range x {
-		x[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+		x[i] = complex(uniform()-0.5, uniform()-0.5)
 	}
 }
 

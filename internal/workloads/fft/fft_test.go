@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -284,4 +285,22 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// TestInputIsTheRandFloat64Stream holds input, which draws from its source
+// directly, to the rand.Rand Float64 stream it stands in for, at every scale
+// Prepare uses and more seeds than the suite runs.
+func TestInputIsTheRandFloat64Stream(t *testing.T) {
+	for _, m := range []int{12, 16, 20} {
+		for _, seed := range []int64{0, 1, 7, 77, -3} {
+			x := make([]complex128, 1<<m)
+			input(x, seed)
+			rng := rand.New(rand.NewSource(seed))
+			for i, got := range x {
+				if want := complex(rng.Float64()-0.5, rng.Float64()-0.5); !sameBits(got, want) {
+					t.Fatalf("m=%d seed %d: point %d is %v, the Float64 stream gives %v", m, seed, i, got, want)
+				}
+			}
+		}
+	}
 }

@@ -11,6 +11,9 @@ import "math/cmplx"
 // as the coefficient vector [Q, a_1, ..., a_p]; a local (Taylor) expansion
 // about z0 represents phi(z) = sum_{l=0..p} b_l (z - z0)^l as
 // [b_0, ..., b_p]. The particle potential is the real part.
+//
+// The translation operators keep their powers of d in [maxP+1] arrays on
+// the stack, so they allocate nothing and take expansions of p <= maxP.
 
 // binom[i][j] holds C(i, j) for i, j <= 2*maxP.
 var binom [][]float64
@@ -51,7 +54,8 @@ func m2m(dst, src []complex128, zc, zp complex128) {
 	dst[0] += q
 
 	// Powers of d up to p.
-	pow := make([]complex128, p+1)
+	var powBuf [maxP + 1]complex128
+	pow := powBuf[:p+1]
 	pow[0] = 1
 	for i := 1; i <= p; i++ {
 		pow[i] = pow[i-1] * d
@@ -73,7 +77,8 @@ func m2l(dst, src []complex128, zm, zl complex128) {
 	q := src[0]
 
 	// invPow[k] = 1 / d^k.
-	invPow := make([]complex128, p+1)
+	var invPowBuf [maxP + 1]complex128
+	invPow := invPowBuf[:p+1]
 	invPow[0] = 1
 	inv := 1 / d
 	for i := 1; i <= p; i++ {
@@ -105,7 +110,8 @@ func m2l(dst, src []complex128, zm, zl complex128) {
 func l2l(dst, src []complex128, zp, zc complex128) {
 	d := zc - zp
 	p := len(src) - 1
-	pow := make([]complex128, p+1)
+	var powBuf [maxP + 1]complex128
+	pow := powBuf[:p+1]
 	pow[0] = 1
 	for i := 1; i <= p; i++ {
 		pow[i] = pow[i-1] * d

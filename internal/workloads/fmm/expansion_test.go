@@ -139,3 +139,23 @@ func TestBinomialTable(t *testing.T) {
 		t.Fatalf("binomial table wrong: C(5,2)=%g C(10,5)=%g", binom[5][2], binom[10][5])
 	}
 }
+
+// TestTranslationOperatorsDoNotAllocate: m2m, m2l and l2l run tens of
+// thousands of times per timed region, so their scratch lives on the stack.
+func TestTranslationOperatorsDoNotAllocate(t *testing.T) {
+	src := make([]complex128, expansionP+1)
+	dst := make([]complex128, expansionP+1)
+	for k := range src {
+		src[k] = complex(float64(k+1), -0.5)
+	}
+	zs, zd := complex(0.25, 0.25), complex(2.5, 1.5)
+	for name, op := range map[string]func(){
+		"m2m": func() { m2m(dst, src, zs, zd) },
+		"m2l": func() { m2l(dst, src, zs, zd) },
+		"l2l": func() { l2l(dst, src, zs, zd) },
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+		}
+	}
+}

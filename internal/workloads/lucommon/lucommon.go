@@ -26,6 +26,10 @@
 //
 // Scale mapping: test n=128/B=16, small n=256/B=16, default n=512/B=16 (the
 // Splash default input), large n=1024/B=32.
+//
+// Memory: the blocks alone, 8*n^2 bytes (2 MiB at default scale). No copy of
+// the input is kept: Verify regenerates it from the seed through inputRow,
+// row by row as Prepare drew it.
 package lucommon
 
 import (
@@ -64,7 +68,7 @@ type LU struct {
 	nb      int // blocks per dimension
 	blocks  [][]float64
 	stride  int
-	orig    []float64 // the input, row-major
+	seed    int64 // the input is regenerated from it by Verify
 	barrier sync4.Barrier
 	ran     bool
 }
@@ -85,23 +89,32 @@ func Prepare(cfg core.Config, name string, layout Layout) (core.Instance, error)
 		n:       n,
 		block:   block,
 		nb:      n / block,
-		orig:    make([]float64, n*n),
+		seed:    cfg.Seed,
 		barrier: cfg.Kit.NewBarrier(cfg.Threads),
 	}
 	m.blocks, m.stride = layout(n, block)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.orig[i*n+j] = rng.Float64() - 0.5
-		}
-		// Diagonal dominance guarantees a stable pivot-free
-		// factorization, matching the original input generator.
-		m.orig[i*n+i] += float64(n)
 		for bj := 0; bj < m.nb; bj++ {
-			copy(m.row(i, bj), m.orig[i*n+bj*block:])
+			inputRow(rng, m.row(i, bj), i-bj*block, n)
 		}
 	}
 	return m, nil
+}
+
+// inputRow draws the next len(row) elements of the seed's input, rng's
+// stream taken row-major, into row, and adds n to the element at diag, if
+// row holds it: diagonal dominance guarantees a stable pivot-free
+// factorization, matching the original input generator. Prepare and Verify
+// share it, so Verify checks the factors against exactly the input Run was
+// given.
+func inputRow(rng *rand.Rand, row []float64, diag, n int) {
+	for j := range row {
+		row[j] = rng.Float64() - 0.5
+	}
+	if diag >= 0 && diag < len(row) {
+		row[diag] += float64(n)
+	}
 }
 
 // Size returns the matrix order and the block size.
@@ -245,13 +258,13 @@ func update(l, u, c []float64, s, bs int) {
 	}
 }
 
-// Verify implements core.Instance: it checks L*U == A_orig by probing with
-// random vectors (y = U*x, z = L*y must equal A_orig*x), which is O(n^2)
-// per probe and catches any misfactored block. The bound is a backward
-// error, 8*eps*n*|A|inf*|x|inf: over seeds 1, 3, 7 and 77 the float64
-// kernel's worst row measures 0.02-0.06 of eps*n*|A|inf*|x|inf at n = 128,
-// 256 and 512, and a kernel that rounds every update to float32 measures
-// 1.2e7-1.4e7 of it.
+// Verify implements core.Instance: it checks L*U == A_orig, the input as
+// regenerated from the seed, by probing with random vectors (y = U*x,
+// z = L*y must equal A_orig*x), which is O(n^2) per probe and catches any
+// misfactored block. The bound is a backward error, 8*eps*n*|A|inf*|x|inf:
+// over seeds 1, 3, 7 and 77 the float64 kernel's worst row measures
+// 0.02-0.06 of eps*n*|A|inf*|x|inf at n = 128, 256 and 512, and a kernel
+// that rounds every update to float32 measures 1.2e7-1.4e7 of it.
 func (m *LU) Verify() error {
 	if !m.ran {
 		return fmt.Errorf("%s: verify before run", m.name)
@@ -264,7 +277,12 @@ func (m *LU) Verify() error {
 			copy(a[i*n+bj*m.block:], m.row(i, bj))
 		}
 	}
-	normA := infNorm(m.orig, n)
+	orig := make([]float64, n*n)
+	input := rand.New(rand.NewSource(m.seed))
+	for i := 0; i < n; i++ {
+		inputRow(input, orig[i*n:(i+1)*n], i, n)
+	}
+	normA := infNorm(orig, n)
 	rng := rand.New(rand.NewSource(12345))
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -297,7 +315,7 @@ func (m *LU) Verify() error {
 		// want = A_orig * x.
 		for i := 0; i < n; i++ {
 			var sum float64
-			row := m.orig[i*n : (i+1)*n]
+			row := orig[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				sum += row[j] * x[j]
 			}

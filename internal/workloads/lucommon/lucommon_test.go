@@ -2,6 +2,7 @@ package lucommon_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -47,6 +48,50 @@ func TestLayoutsFactorIdentically(t *testing.T) {
 								t.Fatalf("scale %s seed %d, %s, %d threads: element (%d, %d) is %v in lu, %v in lu-contiguous",
 									scale, seed, kit.Name(), threads, i, j, r, c)
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// refInput is Prepare's generation loop as it was while the instance kept a
+// row-major copy of its input, kept verbatim as the oracle inputRow is held
+// to.
+func refInput(n int, seed int64) []float64 {
+	orig := make([]float64, n*n)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			orig[i*n+j] = rng.Float64() - 0.5
+		}
+		// Diagonal dominance guarantees a stable pivot-free
+		// factorization, matching the original input generator.
+		orig[i*n+i] += float64(n)
+	}
+	return orig
+}
+
+// TestPrepareDrawsTheReferenceInput holds both layouts' prepared blocks,
+// which Verify regenerates rather than copies, to the reference loop
+// element by element.
+func TestPrepareDrawsTheReferenceInput(t *testing.T) {
+	for _, scale := range []core.Scale{core.ScaleTest, core.ScaleSmall, core.ScaleDefault} {
+		for _, seed := range []int64{1, 7, 77} {
+			for _, b := range []core.Benchmark{lu.New(), lucont.New()} {
+				inst, err := b.Prepare(core.Config{Threads: 2, Kit: lockfree.New(), Scale: scale, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := inst.(*lucommon.LU)
+				n, _ := m.Size()
+				want := refInput(n, seed)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if got := *m.At(i, j); math.Float64bits(got) != math.Float64bits(want[i*n+j]) {
+							t.Fatalf("%s scale %s seed %d: element (%d, %d) is %v, reference %v",
+								b.Name(), scale, seed, i, j, got, want[i*n+j])
 						}
 					}
 				}

@@ -12,6 +12,10 @@
 //
 // Scale mapping (keys): test 32K, small 256K, default 1M (the Splash default
 // input), large 4M. Keys are drawn uniformly from [0, 2^27).
+//
+// Memory: the keys and the permutation scratch, 16 bytes per key (16 MiB at
+// default scale). No copy of the input is kept: Verify regenerates it from
+// the seed through fillKeys, as Prepare drew it, and sorts that.
 package radix
 
 import (
@@ -67,13 +71,12 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 	if cfg.Threads > n {
 		return nil, fmt.Errorf("radix: threads (%d) exceed keys (%d)", cfg.Threads, n)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	inst := &instance{
 		threads: cfg.Threads,
 		n:       n,
+		seed:    cfg.Seed,
 		keys:    make([]int64, n),
 		scratch: make([]int64, n),
-		orig:    make([]int64, n),
 		hist:    make([][]int64, cfg.Threads),
 		prefix:  make([]int64, radix+1),
 		barrier: cfg.Kit.NewBarrier(cfg.Threads),
@@ -87,19 +90,27 @@ func (Benchmark) Prepare(cfg core.Config) (core.Instance, error) {
 	for p := range inst.prefixDone {
 		inst.prefixDone[p] = cfg.Kit.NewFlag()
 	}
-	for i := range inst.keys {
-		inst.keys[i] = rng.Int63n(1 << keyBits)
-	}
-	copy(inst.orig, inst.keys)
+	fillKeys(inst.keys, cfg.Seed)
 	return inst, nil
+}
+
+// fillKeys draws the seed's keys into keys. Prepare and Verify share it, so
+// Verify sorts exactly the input Run was given. The keys are
+// rand.New(rand.NewSource(seed)).Int63n(1<<keyBits)'s stream, taken from the
+// source directly: for a power of two, Int63n is Int63 masked.
+func fillKeys(keys []int64, seed int64) {
+	src := rand.NewSource(seed)
+	for i := range keys {
+		keys[i] = src.Int63() & (1<<keyBits - 1)
+	}
 }
 
 type instance struct {
 	threads    int
 	n          int
+	seed       int64 // the input is regenerated from it by Verify
 	keys       []int64
 	scratch    []int64
-	orig       []int64
 	hist       [][]int64 // per-thread digit histogram for the current pass
 	prefix     []int64   // global exclusive prefix over digit totals
 	barrier    sync4.Barrier
@@ -202,13 +213,14 @@ func (in *instance) worker(tid int) {
 }
 
 // Verify implements core.Instance: the output must equal the independently
-// sorted input exactly (which also proves it is a permutation).
+// sorted input, regenerated from the seed, exactly (which also proves it is
+// a permutation).
 func (in *instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("radix: verify before run")
 	}
 	want := make([]int64, in.n)
-	copy(want, in.orig)
+	fillKeys(want, in.seed)
 	slices.Sort(want)
 	for i := range want {
 		if in.keys[i] != want[i] {

@@ -21,7 +21,11 @@
 // the empty-cell map (one uint16 per (vol+1)^3 cell, about half the
 // volume's bytes). While it synthesizes the volume it also holds a table of
 // the shell term by squared radius, 3*(vol-1)^2+1 float64s (0.4 MiB at
-// 128^3, 0.9 MiB at 192^3), which it drops afterwards.
+// 128^3, 0.9 MiB at 192^3), and while it builds the map one bitmask per
+// voxel column, ceil((vol+1)/64) uint64s each (0.4 MiB at 128^3, 1.1 MiB
+// at 192^3); it drops both afterwards. Both passes are arithmetic-bound:
+// the volume is summed a column at a time with the blob weights in
+// registers, and the map is filled from the masks' set bits.
 //
 // Scale mapping (volume/image, volume + map memory): test 32^3/128^2
 // (0.2 MiB), small 64^3/256^2 (1.5 MiB), default 128^3/512^2 (12 MiB),
@@ -31,6 +35,7 @@ package volrend
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/sync4"
@@ -161,10 +166,14 @@ func (in *instance) synthesizeVolume(seed int64) {
 	v := in.vol
 	blobs := seedBlobs(seed)
 	coord := func(i int) float64 { return (float64(i) + 0.5) / float64(v) }
-	// ex[i][b] is blob b's factor along x at voxel i; ey and ez likewise.
+	// ex[i][b] is blob b's factor along x at voxel i, ey likewise; ez[b][i]
+	// is blob-major, one run of v factors per blob for the z loop below.
 	ex := make([][nBlobs]float64, v)
 	ey := make([][nBlobs]float64, v)
-	ez := make([][nBlobs]float64, v)
+	var ez [nBlobs][]float64
+	for b := range ez {
+		ez[b] = make([]float64, v)
+	}
 	// sq[i] is X^2 for voxel i.
 	sq := make([]int, v)
 	for i := 0; i < v; i++ {
@@ -174,7 +183,7 @@ func (in *instance) synthesizeVolume(seed int64) {
 				g := f - centre
 				return math.Exp(-(g * g) / (bl.w * bl.w))
 			}
-			ex[i][b], ey[i][b], ez[i][b] = factor(bl.x), factor(bl.y), factor(bl.z)
+			ex[i][b], ey[i][b], ez[b][i] = factor(bl.x), factor(bl.y), factor(bl.z)
 		}
 		sq[i] = (2*i + 1 - v) * (2*i + 1 - v)
 	}
@@ -183,19 +192,29 @@ func (in *instance) synthesizeVolume(seed int64) {
 		r := math.Sqrt(float64(k)) / float64(2*v)
 		shell[k] = math.Exp(-((r - 0.4) * (r - 0.4)) / 0.002)
 	}
+	// One pass per column, with the column's six blob weights in registers
+	// and the six factor runs read side by side, so neighbouring voxels'
+	// sums overlap in the pipeline. Each voxel must still sum the shell
+	// term and then blobs 0..5 in that order: the density is held bit for
+	// bit to a per-voxel reference by TestShellTableMatchesPerVoxelShell.
+	ez0, ez1, ez2, ez3, ez4, ez5 := ez[0][:v], ez[1][:v], ez[2][:v], ez[3][:v], ez[4][:v], ez[5][:v]
+	sqz := sq[:v]
 	for y := 0; y < v; y++ {
 		for x := 0; x < v; x++ {
-			var exy [nBlobs]float64
-			for b := range exy {
-				exy[b] = 0.7 * ex[x][b] * ey[y][b]
+			var w [nBlobs]float64
+			for b := range w {
+				w[b] = 0.7 * ex[x][b] * ey[y][b]
 			}
 			shellXY := shell[sq[x]+sq[y]:]
-			col := in.column(x, y)
-			for z := range col {
-				d := shellXY[sq[z]]
-				for b, f := range ez[z] {
-					d += exy[b] * f
-				}
+			col := in.column(x, y)[:v]
+			for z, k := range sqz {
+				d := shellXY[k]
+				d += w[0] * ez0[z]
+				d += w[1] * ez1[z]
+				d += w[2] * ez2[z]
+				d += w[3] * ez3[z]
+				d += w[4] * ez4[z]
+				d += w[5] * ez5[z]
 				col[z] = float32(d)
 			}
 		}
@@ -241,27 +260,58 @@ func (in *instance) buildZTable() {
 // ulps (under 1e-7 at these magnitudes); emptyMargin is five orders of
 // magnitude wider than that, so no sample the plain march would composite
 // is ever skipped.
+//
+// It works on bitmasks, one bit per voxel or cell along z: a voxel column's
+// mask marks the voxels at or above the floor less the margin, a cell
+// column's is the OR of its four voxel columns' masks, and cell c is active
+// iff bit c-1 or bit c of that is set. Each column's runs of entries are
+// then filled from one scan of its set bits.
 func (in *instance) buildEmptyCellMap() {
 	v := in.vol
 	n := v + 1
+	words := (n + 63) / 64 // per mask: n cell bits, and the v voxel bits fit too
+	// voxels[(y*v+x)*words:] is voxel column (x, y)'s mask.
+	voxels := make([]uint64, v*v*words)
+	for i := range v * v {
+		m := voxels[i*words:][:words]
+		for z, d := range in.density[i*v:][:v] {
+			if float64(d) >= densityFloor-emptyMargin {
+				m[z>>6] |= 1 << (z & 63)
+			}
+		}
+	}
+	// mask returns voxel column (x, y)'s mask, all clear outside the volume.
+	none := make([]uint64, words)
+	mask := func(x, y int) []uint64 {
+		if x < 0 || y < 0 || x >= v || y >= v {
+			return none
+		}
+		return voxels[(y*v+x)*words:][:words]
+	}
 	in.nextActive = make([]uint16, n*n*n)
-	// colMax[z+1] is the largest of a cell column's four voxel columns at
-	// z; both ends stay zero, for the voxels outside the volume.
-	colMax := make([]float32, v+2)
+	cells := make([]uint64, words)
 	for cy := 0; cy < n; cy++ {
 		for cx := 0; cx < n; cx++ {
-			c00, c10 := in.column(cx-1, cy-1), in.column(cx, cy-1)
-			c01, c11 := in.column(cx-1, cy), in.column(cx, cy)
-			for z := 0; z < v; z++ {
-				colMax[z+1] = max(c00[z], c10[z], c01[z], c11[z])
+			m00, m10 := mask(cx-1, cy-1), mask(cx, cy-1)
+			m01, m11 := mask(cx-1, cy), mask(cx, cy)
+			var carry uint64 // bit 63 of the previous word, shifted in
+			for w := range cells {
+				m := m00[w] | m10[w] | m01[w] | m11[w]
+				cells[w] = m | m<<1 | carry
+				carry = m >> 63
 			}
 			next := in.nextActive[(cy*n+cx)*n:][:n]
-			active := uint16(n)
-			for c := v; c >= 0; c-- {
-				if float64(max(colMax[c], colMax[c+1])) >= densityFloor-emptyMargin {
-					active = uint16(c)
+			c := 0
+			for w, m := range cells {
+				for ; m != 0; m &= m - 1 {
+					a := w*64 + bits.TrailingZeros64(m)
+					for ; c <= a; c++ {
+						next[c] = uint16(a)
+					}
 				}
-				next[c] = active
+			}
+			for ; c < n; c++ {
+				next[c] = uint16(n)
 			}
 		}
 	}

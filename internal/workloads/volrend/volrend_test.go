@@ -268,3 +268,59 @@ func TestTablesFitWithinTheVolumesOwnBytes(t *testing.T) {
 		t.Errorf("tables take %d bytes, the volume %d", tables, volume)
 	}
 }
+
+// refBuildEmptyCellMap is buildEmptyCellMap as it was before the bitmasks,
+// one running maximum per cell column, kept verbatim as the oracle the masks
+// must match bit for bit, and overwrites in.nextActive.
+func (in *instance) refBuildEmptyCellMap() {
+	v := in.vol
+	n := v + 1
+	in.nextActive = make([]uint16, n*n*n)
+	// colMax[z+1] is the largest of a cell column's four voxel columns at
+	// z; both ends stay zero, for the voxels outside the volume.
+	colMax := make([]float32, v+2)
+	for cy := 0; cy < n; cy++ {
+		for cx := 0; cx < n; cx++ {
+			c00, c10 := in.column(cx-1, cy-1), in.column(cx, cy-1)
+			c01, c11 := in.column(cx-1, cy), in.column(cx, cy)
+			for z := 0; z < v; z++ {
+				colMax[z+1] = max(c00[z], c10[z], c01[z], c11[z])
+			}
+			next := in.nextActive[(cy*n+cx)*n:][:n]
+			active := uint16(n)
+			for c := v; c >= 0; c-- {
+				if float64(max(colMax[c], colMax[c+1])) >= densityFloor-emptyMargin {
+					active = uint16(c)
+				}
+				next[c] = active
+			}
+		}
+	}
+}
+
+// TestEmptyCellMapMatchesReference holds the bitmask map to the running
+// maximum it replaced, entry for entry.
+func TestEmptyCellMapMatchesReference(t *testing.T) {
+	for _, scale := range []core.Scale{core.ScaleTest, core.ScaleSmall, core.ScaleDefault, core.ScaleLarge} {
+		if scale == core.ScaleLarge && testing.Short() {
+			continue
+		}
+		for _, seed := range []int64{1, 7, 77} {
+			in := prepare(t, scale, seed)
+			got := in.nextActive
+			in.refBuildEmptyCellMap()
+			var skips int
+			for i, want := range in.nextActive {
+				if got[i] != want {
+					t.Fatalf("scale %s seed %d entry %d: bitmask map %d, reference %d", scale, seed, i, got[i], want)
+				}
+				if int(want) > i%(in.vol+1) {
+					skips++
+				}
+			}
+			if skips == 0 {
+				t.Errorf("scale %s seed %d: no entry skips a cell, the comparison proves nothing", scale, seed)
+			}
+		}
+	}
+}
