@@ -19,10 +19,12 @@
 #                     //sync4:req tags byte for byte and every MUST-level
 #                     requirement has a covering conformance test
 #   make conformance-gen regenerate docs/CONFORMANCE.md after tag edits
+#   make digests      rewrite internal/workloads/all/testdata/digests.txt, the
+#                     programs' committed result digests, from this tree
 
 GO ?= go
 
-.PHONY: check vet allocs-gate race test build bench conformance conformance-gen
+.PHONY: check vet allocs-gate race test build bench conformance conformance-gen digests
 
 check: build
 	test -z "$$(gofmt -l .)"
@@ -85,3 +87,9 @@ conformance:
 # or re-covering //sync4:req requirements, and commit the result.
 conformance-gen:
 	$(GO) run ./cmd/splash4-vet -conformance docs/CONFORMANCE.md ./...
+
+# digests rewrites the committed result digests (TestResultDigests). A
+# kernel change must leave the file byte-identical; a change that alters a
+# program's output rewrites it here and says why in CHANGES.md.
+digests:
+	$(GO) test -count=1 -run '^TestResultDigests$$' ./internal/workloads/all/ -update

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -106,6 +107,14 @@ type Benchmark interface {
 type Instance interface {
 	Run() error
 	Verify() error
+}
+
+// ResultWriter is implemented by an Instance that can write its result
+// state: after Run, WriteResult writes the values the run computed to w as
+// little-endian float64 bits, so that two runs computed the same thing iff
+// they wrote the same bytes. The suite's digest test hashes these bytes.
+type ResultWriter interface {
+	WriteResult(w io.Writer) error
 }
 
 // workerHook, when set, runs at the start of every Parallel worker and its
