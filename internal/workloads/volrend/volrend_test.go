@@ -109,8 +109,9 @@ func (in *instance) refSample(x, y, z float64) float32 {
 }
 
 // TestFastPathMatchesReferenceRayForRay is the kernel's oracle: Verify
-// re-renders with the same castRay, so a wrong skip passes it; this does
-// not.
+// re-renders with the same renderTile, so a wrong skip or a packet that
+// mixes up its rays passes it; this does not. Every tile is rendered, and
+// every stride-th row and column is compared with refCastRay.
 func TestFastPathMatchesReferenceRayForRay(t *testing.T) {
 	cases := []struct {
 		scale  core.Scale
@@ -128,10 +129,14 @@ func TestFastPathMatchesReferenceRayForRay(t *testing.T) {
 		}
 		for _, seed := range c.seeds {
 			in := prepare(t, c.scale, seed)
+			img := make([]float64, len(in.image))
+			for tile := 0; tile < in.nTiles; tile++ {
+				in.renderTile(tile, img)
+			}
 			var lit int
 			for py := 0; py < in.img; py += c.stride {
 				for px := 0; px < in.img; px += c.stride {
-					got, want := in.castRay(px, py), in.refCastRay(px, py)
+					got, want := img[py*in.img+px], in.refCastRay(px, py)
 					if got != want {
 						t.Fatalf("scale %s seed %d pixel (%d,%d): fast path %v, reference %v", c.scale, seed, px, py, got, want)
 					}
