@@ -273,3 +273,64 @@ func TestBoundNeverDropsAHit(t *testing.T) {
 		t.Logf("seed %d: %d rays, %d sphere hits, %d in a face", seed, rays, hits, nans)
 	}
 }
+
+// squarings is s^32 by five squarings with no fallback.
+func squarings(s float64) float64 {
+	p := s * s
+	p *= p
+	p *= p
+	p *= p
+	return p * p
+}
+
+// TestPow32MatchesPow holds pow32 to math.Pow(s, 32) bit for bit: 10^6
+// evenly spaced values in (0, 1], every float64 within 1 000 ulps of the
+// switch-over, and 10^6 evenly spaced values below it whose 32nd powers are
+// subnormal or zero. The switch-over is derived
+// here, by bisection, as the least float64 whose squarings reach 2^-1022,
+// and must be the one pow32's comment states.
+func TestPow32MatchesPow(t *testing.T) {
+	check := func(s float64) {
+		t.Helper()
+		if got, want := pow32(s), math.Pow(s, 32); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pow32(%v) = %v, math.Pow %v", s, got, want)
+		}
+	}
+	const n = 1_000_000
+	for i := 1; i <= n; i++ {
+		check(float64(i) / n)
+	}
+
+	lo, hi := uint64(0), math.Float64bits(1)
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		if squarings(math.Float64frombits(mid)) >= 0x1p-1022 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if s := math.Float64frombits(hi); s != 0x1.0b5586cf9891p-32 {
+		t.Errorf("the least float64 whose squarings are normal is %x, pow32's comment says 0x1.0b5586cf9891p-32", s)
+	}
+	for b := hi - 1000; b <= hi+1000; b++ {
+		check(math.Float64frombits(b))
+	}
+
+	// From 2^-34 to the switch-over s^32 goes from 0 through the whole
+	// subnormal range. There the squarings alone must be wrong somewhere,
+	// or the fallback is untested.
+	var differ int
+	from, to := 0x1p-34, math.Float64frombits(hi)
+	for i := 0; i < n; i++ {
+		s := from + (to-from)*float64(i)/n
+		check(s)
+		if math.Float64bits(squarings(s)) != math.Float64bits(math.Pow(s, 32)) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Error("below the switch-over the squarings match math.Pow everywhere: the fallback is untested")
+	}
+	t.Logf("switch-over %x; below it the squarings alone differ from math.Pow at %d of %d values", math.Float64frombits(hi), differ, n)
+}
