@@ -11,7 +11,7 @@ import (
 )
 
 // flatAlloc is the simple single-allocation layout used by tests.
-func flatAlloc(n int) [][]float64 {
+func flatAlloc(_, n int) [][]float64 {
 	width := n + 2
 	backing := make([]float64, width*width)
 	rows := make([][]float64, width)

@@ -88,7 +88,7 @@ func (s *Solver) refSolve(tid int) {
 }
 
 // globalRows is package ocean's layout: one allocation per level.
-func globalRows(n int) [][]float64 {
+func globalRows(_, n int) [][]float64 {
 	width := n + 2
 	backing := make([]float64, width*width)
 	rows := make([][]float64, width)
@@ -98,23 +98,21 @@ func globalRows(n int) [][]float64 {
 	return rows
 }
 
-// bandRows returns package oceancont's layout for threads: each thread's
-// rows in their own allocation.
-func bandRows(threads int) Allocator {
-	return func(n int) [][]float64 {
-		width := n + 2
-		rows := make([][]float64, width)
-		rows[0] = make([]float64, width)
-		rows[n+1] = make([]float64, width)
-		for tid := 0; tid < threads; tid++ {
-			lo, hi := core.BlockRange(tid, threads, n)
-			band := make([]float64, (hi-lo)*width)
-			for r := lo; r < hi; r++ {
-				rows[r+1], band = band[:width:width], band[width:]
-			}
+// bandRows is package oceancont's layout: each thread's rows in their own
+// allocation.
+func bandRows(threads, n int) [][]float64 {
+	width := n + 2
+	rows := make([][]float64, width)
+	rows[0] = make([]float64, width)
+	rows[n+1] = make([]float64, width)
+	for tid := 0; tid < threads; tid++ {
+		lo, hi := core.BlockRange(tid, threads, n)
+		band := make([]float64, (hi-lo)*width)
+		for r := lo; r < hi; r++ {
+			rows[r+1], band = band[:width:width], band[width:]
 		}
-		return rows
 	}
+	return rows
 }
 
 // TestBitIdenticalToReference holds every level of every parallel solve,
@@ -135,7 +133,7 @@ func TestBitIdenticalToReference(t *testing.T) {
 				for _, layout := range []struct {
 					name  string
 					alloc Allocator
-				}{{"ocean", globalRows}, {"ocean-contiguous", bandRows(threads)}} {
+				}{{"ocean", globalRows}, {"ocean-contiguous", bandRows}} {
 					got := NewSolver(n, threads, kit, layout.alloc, FillSinRHS)
 					core.Parallel(threads, got.Solve)
 					if got.Cycles() != ref.Cycles() {
