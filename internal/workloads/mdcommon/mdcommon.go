@@ -1,7 +1,19 @@
-// Package mdcommon holds the molecular-dynamics physics shared by the two
-// WATER applications: shifted Lennard-Jones pair interactions in reduced
-// units, periodic boundary helpers, lattice/velocity initialization, and the
-// sequential force oracle both workloads verify against.
+// Package mdcommon holds the molecular dynamics both WATER applications
+// run: shifted Lennard-Jones pair interactions in reduced units, periodic
+// boundary helpers, lattice/velocity initialization, the sequential force
+// oracle, and the engine. Prepare builds the system (state, sizes, kit
+// objects), and its instance runs the velocity-Verlet steps — half-kick and
+// drift, the program's ForcePhase, the private-force merge into the
+// per-molecule accumulators (the construct the paper rewrites), publish,
+// second half-kick and the per-step reductions — verifies and writes the
+// result. waternsq and waterspatial supply only their descriptor and their
+// force phase. Two things a force phase must keep:
+//   - Construction order. Prepare builds the barrier, then the force
+//     phase's own kit objects (water-spatial's cell locks), then the
+//     accumulators, as the two programs did: fault sites and tracer object
+//     ids are assigned in construction order.
+//   - Locals. A force phase reads the geometry (X, N, Box, Rc, VShift)
+//     into locals once per step, not through the System on every row.
 //
 // RowForces, WATER-NSQUARED's inner loop, is PairInteraction over a row with
 // the loop invariants hoisted and molecule i kept in registers; it performs
