@@ -88,8 +88,12 @@ conformance:
 conformance-gen:
 	$(GO) run ./cmd/splash4-vet -conformance docs/CONFORMANCE.md ./...
 
-# digests rewrites the committed result digests (TestResultDigests). A
-# kernel change must leave the file byte-identical; a change that alters a
-# program's output rewrites it here and says why in CHANGES.md.
+# digests rewrites the committed result digests (TestResultDigests) of the
+# seven programs that write their result: barnes, raytrace, volrend, ocean,
+# ocean-contiguous, water-nsquared and water-spatial, each at the thread
+# counts the test's digestThreads table lists for it (where its result
+# depends on its inputs alone). A kernel change must leave the file
+# byte-identical; a change that alters a program's output rewrites it here
+# and says why in CHANGES.md.
 digests:
 	$(GO) test -count=1 -run '^TestResultDigests$$' ./internal/workloads/all/ -update
