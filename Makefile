@@ -11,6 +11,9 @@
 #                     barnes's pooled-lock tree build against its reference x10,
 #                     the lu, lu-contiguous, cholesky and multigrid kernels'
 #                     bit-identity tests x5 (-short: test and small scale)
+#   make fuzz         30 s of FuzzAddLine: AddLine's fast journal-line decoder
+#                     against json.Unmarshal (its committed seeds run in
+#                     every go test)
 #   make vet          just the concurrency-invariant analyzers (splash4-vet)
 #   make allocs-gate  re-measure every //sync4:zeroalloc annotation with
 #                     testing.AllocsPerRun (uncached)
@@ -24,7 +27,7 @@
 
 GO ?= go
 
-.PHONY: check vet allocs-gate race test build bench conformance conformance-gen digests
+.PHONY: check vet allocs-gate race fuzz test build bench conformance conformance-gen digests
 
 check: build
 	test -z "$$(gofmt -l .)"
@@ -68,6 +71,14 @@ race:
 	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain)' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestDeterministicAcrossKits' ./internal/workloads/barnes/
 	$(GO) test -race -short -count=5 -run 'TestBitIdenticalToReference' ./internal/workloads/lu/ ./internal/workloads/lucont/ ./internal/workloads/cholesky/ ./internal/workloads/mgcommon/
+
+# fuzz searches past FuzzAddLine's committed seeds for a journal line on
+# which AddLine's fast path and json.Unmarshal disagree: the fast path must
+# decline it or decode the record json.Unmarshal does, and the malformed
+# verdict must be the JSON rule's. A failing input is written under
+# internal/resultstore/testdata/fuzz/FuzzAddLine, where go test replays it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzAddLine -fuzztime 30s ./internal/resultstore/
 
 test:
 	$(GO) test ./...

@@ -383,7 +383,9 @@ func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
 // TestShipStopsMidDrain puts the ship loop into a drain that never ends by
 // itself — every fetch ingests a line and leaves lag, and the tick is an
 // hour away, so every line after the first is the drain's — and requires
-// Stop and Kill to end it within the exchange in flight. Stop waits for the
+// Stop and Kill to end it within the exchange in flight: the origin serves
+// at most one journal request once the cluster's context is cancelled, and
+// the replica's offset stays put after the loop is gone. Stop waits for the
 // loop's goroutine, so returning at all proves the goroutine is gone.
 func TestShipStopsMidDrain(t *testing.T) {
 	line := journalLine(t, "r-origin-1", 1)
@@ -396,15 +398,20 @@ func TestShipStopsMidDrain(t *testing.T) {
 	}
 	for name, stop := range stops {
 		t.Run(name, func(t *testing.T) {
+			var follower atomic.Pointer[Cluster]
+			var lateRequests atomic.Int64 // served after the cancel
 			c, p := shipOnly(t, time.Hour, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if c := follower.Load(); c != nil && c.ctx.Err() != nil {
+					lateRequests.Add(1)
+				}
 				off, _ := strconv.ParseInt(r.URL.Query().Get("offset"), 10, 64)
 				w.Header().Set(journalSizeHeader, fmt.Sprint(off+2*int64(len(line))))
 				w.Write(line)
 			}))
+			follower.Store(c)
 			shipLoopOf(c, p)
 			p.wakeShip()
 			waitFor(t, "the drain never got going", func() bool { return p.offset.Load() >= 3*int64(len(line)) })
-			before := p.offset.Load()
 			stopped := make(chan struct{})
 			go func() {
 				stop(c)
@@ -415,12 +422,10 @@ func TestShipStopsMidDrain(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("the ship loop outlived its cluster")
 			}
-			// One exchange may be in flight at the cancel, and one more may
-			// have landed between reading the offset and cancelling.
-			after := p.offset.Load()
-			if lines := (after - before) / int64(len(line)); lines > 2 {
-				t.Fatalf("%d lines shipped after the stop began, want the drain to end with the exchange in flight", lines)
+			if n := lateRequests.Load(); n > 1 {
+				t.Fatalf("the origin served %d journal requests after the cancel, want the drain to end with the exchange in flight", n)
 			}
+			after := p.offset.Load()
 			time.Sleep(20 * time.Millisecond)
 			if late := p.offset.Load(); late != after {
 				t.Fatalf("offset moved %d bytes after the loop was stopped", late-after)

@@ -34,15 +34,23 @@ func (ix *Index) Add(r Record) {
 // cluster journal shipping: a blank line is ignored, a line that parses
 // into a record with an ID is added, and anything else (a torn fragment,
 // or one glued onto the next write) is reported as malformed for the
-// caller's skipped count.
+// caller's skipped count. Lines in the shape Append writes take
+// decodeLine's fast path; json.Unmarshal parses every other line and
+// decides what is malformed.
 func (ix *Index) AddLine(line []byte) (malformed bool) {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
 		return false
 	}
-	var r Record
-	if err := json.Unmarshal(line, &r); err != nil || r.ID == "" {
-		return true
+	r, ok := decodeLine(line)
+	if !ok {
+		// A variable of its own: json.Unmarshal makes it escape, and r
+		// would otherwise go to the heap on the fast path too.
+		var slow Record
+		if err := json.Unmarshal(line, &slow); err != nil || slow.ID == "" {
+			return true
+		}
+		r = slow
 	}
 	ix.Add(r)
 	return false

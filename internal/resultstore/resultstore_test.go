@@ -3,6 +3,7 @@ package resultstore
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,17 @@ func TestAppendAndReopen(t *testing.T) {
 	if err := s.Append(rec("r2", "fft", "lockfree", 100, 110)); err != nil {
 		t.Fatal(err)
 	}
+	// Records as splash4d journals them: a span chain with rep spans and a
+	// request ID, and for the failed run an error that needs escaping.
+	for _, r := range []Record{
+		daemonRec("d1", "", 300, 290),
+		daemonRec("d2", "verify: \"x\" != y\n<tag> & café"),
+	} {
+		if err := s.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appended := s.All()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +59,8 @@ func TestAppendAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("reopened store holds %d records, want 2", s2.Len())
+	if got := s2.All(); !reflect.DeepEqual(got, appended) {
+		t.Fatalf("reopened store holds\n%+v\nwant what was appended\n%+v", got, appended)
 	}
 	r, ok := s2.ByID("r2")
 	if !ok || r.Kit != "lockfree" || r.MeanNS != 105 {

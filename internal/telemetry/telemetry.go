@@ -127,9 +127,9 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	p, err := parsePhase(j.Phase)
-	if err != nil {
-		return err
+	p, ok := PhaseByName(j.Phase)
+	if !ok {
+		return fmt.Errorf("telemetry: unknown phase %q", j.Phase)
 	}
 	s.Phase = p
 	s.Rep = -1
@@ -141,14 +141,14 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// parsePhase inverts Phase.String.
-func parsePhase(name string) (Phase, error) {
+// PhaseByName inverts Phase.String for the lifecycle phases.
+func PhaseByName(name string) (Phase, bool) {
 	for p := Phase(0); p < numPhases; p++ {
 		if p.String() == name {
-			return p, nil
+			return p, true
 		}
 	}
-	return 0, fmt.Errorf("telemetry: unknown phase %q", name)
+	return 0, false
 }
 
 // SpanSet records one job's lifecycle chain. It is created at request
