@@ -7,8 +7,9 @@
 #                     fault injection, retry contract, tracer), allocs gate
 #   make race         tier-2 gate: the whole suite under the Go race detector,
 #                     then the scheduling-dependent tests again: event order
-#                     x20, the ship loop's drain/heal/pacing/stop tests x10,
-#                     barnes's pooled-lock tree build against its reference x10,
+#                     x20, the ship loop's drain/heal/pacing/stop/resync
+#                     tests x10, barnes's pooled-lock tree build against its
+#                     reference x10,
 #                     the lu, lu-contiguous, cholesky and multigrid kernels'
 #                     bit-identity tests x5 (-short: test and small scale)
 #   make fuzz         30 s of FuzzAddLine: AddLine's fast journal-line decoder
@@ -55,8 +56,9 @@ allocs-gate:
 # The event-order test's window is scheduling-dependent (a submitter losing
 # the CPU between publishing a job and announcing it), so one pass proves
 # little: race repeats it 20 times on top of the suite's single run. The
-# ship loop's drain and stop tests race a wake, a cancel and a repair pass
-# against fetches in flight, so they get 10 more passes for the same reason.
+# ship loop's drain, stop and resync tests race a wake, a cancel and a
+# journal generation change against fetches in flight, so they get 10 more
+# passes for the same reason.
 # barnes hashes its tree cells onto a pool of 2048 locks, so unrelated cells
 # share a lock and a locking mistake shows only under some interleavings: its
 # bit-for-bit comparison with a sequential reference gets 10 more passes.
@@ -68,7 +70,7 @@ allocs-gate:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
-	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain)' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain|Resyncs)' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestDeterministicAcrossKits' ./internal/workloads/barnes/
 	$(GO) test -race -short -count=5 -run 'TestBitIdenticalToReference' ./internal/workloads/lu/ ./internal/workloads/lucont/ ./internal/workloads/cholesky/ ./internal/workloads/mgcommon/
 

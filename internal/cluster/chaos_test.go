@@ -30,11 +30,11 @@ import (
 //	   held past the hedge delay, so hedged second requests fire.
 //	D. Origin crash-restart mid-tail: a is killed, its journal loses its
 //	   last record, and it restarts in place under a new journal
-//	   generation. The followers' shippers park on the generation change
-//	   and the anti-entropy repair pass resyncs their replicas from offset
-//	   zero — without it (delete the resync in repair.go to try) the
-//	   survivors keep the dead generation's census and the final
-//	   three-way /compare diverges.
+//	   generation. The followers' ship loops see the generation change on
+//	   their next fetch, drop their replicas and drain them again from
+//	   offset zero — without the rewind (keep the replica or the offset
+//	   in ship.go's resync to try) the survivors keep the dead
+//	   generation's census and the final three-way /compare diverges.
 //
 // The run ends with a convergence proof: every accepted job done, every
 // replica byte-caught-up, and a three-way byte-identical /compare. A
@@ -61,7 +61,6 @@ func TestRunChaosFullSchedule(t *testing.T) {
 		ccfg.BreakerCooldown = 250 * time.Millisecond
 		ccfg.RetryBaseDelay = 5 * time.Millisecond
 		ccfg.HedgeAfter = 40 * time.Millisecond
-		ccfg.RepairInterval = 100 * time.Millisecond
 		switch id {
 		case "a":
 			// The designated victim: the backlog behind its one gated worker
@@ -181,7 +180,7 @@ func TestRunChaosFullSchedule(t *testing.T) {
 	// Restart a in place: same address, same journal, fresh store open —
 	// which is a new journal generation by construction.
 	a.start(t, chaosRebind(t, strings.TrimPrefix(a.base, "http://")))
-	// The followers must notice the generation change and repair: their
+	// The followers must notice the generation change and resync: their
 	// replicas drop to a's surviving record set, one record smaller than
 	// what they tailed before the crash.
 	for _, f := range []*testNode{b, c} {
@@ -190,7 +189,7 @@ func TestRunChaosFullSchedule(t *testing.T) {
 		})
 	}
 	if b.cl.repairBytes.v.Load() == 0 {
-		t.Fatal("phase D: repair pulled no bytes on b")
+		t.Fatal("phase D: the resync pulled no bytes on b")
 	}
 
 	// ---- Convergence proof. ----------------------------------------------
@@ -221,8 +220,8 @@ func TestRunChaosFullSchedule(t *testing.T) {
 }
 
 // chaosTruncateLastRecord drops the journal's last line — the crash that
-// loses an acknowledged-but-unshipped suffix, the exact state anti-entropy
-// repair exists for.
+// loses an acknowledged-but-unshipped suffix, the exact state a resync
+// exists for.
 func chaosTruncateLastRecord(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)

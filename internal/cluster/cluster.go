@@ -87,8 +87,6 @@ type Config struct {
 	// second identical request races it. Default 500ms; negative disables
 	// hedging.
 	HedgeAfter time.Duration
-	// RepairInterval paces the anti-entropy repair pass. Default 2s.
-	RepairInterval time.Duration
 	// Logf, when set, receives cluster lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -139,9 +137,6 @@ func (c *Config) fill() error {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 500 * time.Millisecond
 	}
-	if c.RepairInterval <= 0 {
-		c.RepairInterval = 2 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -178,30 +173,16 @@ type peer struct {
 	skipped atomic.Int64
 	_       [56]byte
 
-	// Journal generation tracking for anti-entropy repair: gen is the
-	// origin's last-advertised generation (health probe or journal
-	// response), syncedGen the generation the replica's bytes belong to.
-	// A mismatch means the origin restarted or replaced its journal; the
-	// repair pass resyncs the replica from offset zero (see repair.go).
-	gen       atomic.Uint64
-	_         [56]byte
-	syncedGen atomic.Uint64
-	_         [56]byte
-
 	// brk and budget are this peer's circuit breaker and retry bucket.
 	brk    *breaker
 	budget *retryBudget
-
-	// syncMu serializes one journal fetch-ingest-advance round against the
-	// repair pass's reset-and-refetch, so two pullers never ingest the
-	// same bytes twice.
-	syncMu sync.Mutex
 	wake   chan struct{} // one slot: starts a ship round ahead of the tick (wakeShip)
 
-	// tail buffers a torn trailing line between ship rounds; guarded by
-	// tailMu, which nests inside syncMu on the fetch path.
-	tailMu sync.Mutex
-	tail   []byte
+	// Only the ship loop touches these (see ship.go): syncedGen is the
+	// journal generation the replica's bytes belong to, tail a torn
+	// trailing line buffered between ship rounds.
+	syncedGen uint64
+	tail      []byte
 }
 
 // padCounter is one cache-line-isolated counter for the per-endpoint
@@ -237,8 +218,8 @@ type Cluster struct {
 	_              [56]byte
 
 	// Robustness counters: retries per endpoint (peernet.Endpoints
-	// order), hedged second requests, anti-entropy repair traffic,
-	// replica resyncs, and partition heals observed by the prober.
+	// order), hedged second requests, replica resyncs and the bytes of
+	// their first refetches, and partition heals observed by the prober.
 	retries        []padCounter // one slot per peernet.Endpoints entry
 	hedgedTotal    padCounter
 	repairBytes    padCounter
@@ -291,18 +272,16 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Start launches the background loops: one health prober and one journal
-// shipper per peer, one work stealer, one reclaim sweeper, one anti-
-// entropy repair pass.
+// shipper per peer, one work stealer, one reclaim sweeper.
 func (c *Cluster) Start() {
 	for _, p := range c.peers {
 		c.wg.Add(2)
 		go c.probeLoop(p)
 		go c.shipLoop(p)
 	}
-	c.wg.Add(3)
+	c.wg.Add(2)
 	go c.stealLoop()
 	go c.reclaimLoop()
-	go c.repairLoop()
 	c.cfg.Logf("cluster: node %s up, nodes %v", c.cfg.Self, c.order)
 }
 

@@ -3,10 +3,10 @@
 // plays the same role for synchronization operations) that perturbs peer
 // exchanges according to a seeded, deterministic plan. The cluster's
 // partition-tolerance claim — that breakers, retry budgets, reclaim and
-// anti-entropy repair converge every node back to a byte-identical census —
-// is only credible if it survives hostile networks, not just loopback;
-// this package manufactures the hostile networks on demand and makes each
-// one reproducible from a single seed.
+// the journal tail's resync converge every node back to a byte-identical
+// census — is only credible if it survives hostile networks, not just
+// loopback; this package manufactures the hostile networks on demand and
+// makes each one reproducible from a single seed.
 //
 // Fault classes:
 //

@@ -15,7 +15,7 @@ import (
 // front of the wrapped server's public API:
 //
 //	GET  /peer/health    node ID, readiness, queue depth, durable journal
-//	                     size, journal generation
+//	                     size
 //	POST /peer/steal     {"thief":"b","max":2} → {"jobs":[{"id","spec"},...]}
 //	POST /peer/complete  {"id":"r-a-7","result":{...}} → 200 / 410
 //	GET  /peer/stolen?id=... → {"awaiting":bool}: completion re-probe
@@ -30,16 +30,13 @@ import (
 
 // healthView is the /peer/health body. Status mirrors /healthz ("ok",
 // "draining", "degraded"); Ready folds in the /readyz verdict so the
-// prober needs one round trip. Generation identifies the journal's
-// current open (see resultstore.Store.Generation), so the prober detects
-// an origin restart even while the journal endpoint is quiet.
+// prober needs one round trip.
 type healthView struct {
 	Node        string `json:"node"`
 	Status      string `json:"status"`
 	Ready       bool   `json:"ready"`
 	QueueDepth  int    `json:"queue_depth"`
 	DurableSize int64  `json:"durable_size"`
-	Generation  uint64 `json:"journal_generation"`
 }
 
 // handlePeerHealth is GET /peer/health.
@@ -58,7 +55,6 @@ func (c *Cluster) handlePeerHealth(w http.ResponseWriter, r *http.Request) {
 		Ready:       ready,
 		QueueDepth:  c.srv.QueueDepth(),
 		DurableSize: c.srv.Store().DurableSize(),
-		Generation:  c.srv.Store().Generation(),
 	})
 }
 
@@ -137,8 +133,8 @@ const journalSizeHeader = "X-Splash4d-Journal-Size"
 
 // journalGenHeader carries the origin journal's generation on every
 // /peer/journal response. Followers only ingest bytes whose generation
-// matches the one their replica was built from; a mismatch parks the
-// shipper until the repair pass resyncs (see repair.go).
+// matches the one their replica was built from; a mismatch resyncs the
+// replica from offset zero (see ship.go).
 const journalGenHeader = "X-Splash4d-Journal-Generation"
 
 // handlePeerJournal is GET /peer/journal?offset=N.
@@ -182,9 +178,6 @@ func (c *Cluster) probeLoop(p *peer) {
 		if err == nil {
 			p.queueDepth.Store(int64(hv.QueueDepth))
 			p.durable.Store(hv.DurableSize)
-			if hv.Generation != 0 {
-				p.gen.Store(hv.Generation)
-			}
 		} else {
 			p.queueDepth.Store(0)
 		}

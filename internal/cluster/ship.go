@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,43 +18,43 @@ import (
 // clamps reads to its durable watermark (bytes whose append was
 // acknowledged), so a follower never sees a line the origin might not
 // re-acknowledge after a crash. Every journal response also names the
-// origin journal's generation (minted fresh at each store open): a
-// follower ingests bytes only while the generation matches the one its
-// replica was built from. On a mismatch — origin restart, truncation, or
-// journal replacement — the shipper parks and the anti-entropy repair
-// pass (repair.go) resyncs the replica from offset zero, which is the
-// only safe response to offsets whose meaning may have changed. Two
-// tolerances mirror the origin's own replay-on-open: a chunk boundary may
-// split a line (buffered in p.tail until the rest arrives), and a torn
-// fragment from an origin write fault may glue onto the next good line
-// (skipped and counted by resultstore.Index.AddLine, the rule the origin's
-// replay applies too — both sides converge on the same record set).
+// origin journal's generation (minted fresh at each store open), and a
+// replica holds the bytes of one generation: the one that served its
+// offset-zero fetch. A response naming another — origin restart,
+// truncation, or journal replacement — was served for an offset whose
+// meaning may have changed, so the follower discards it unread, drops the
+// replica, rewinds to offset zero and drains the new generation from
+// there (a resync). Two tolerances mirror the origin's own replay-on-open:
+// a chunk boundary may split a line (buffered in p.tail until the rest
+// arrives), and a torn fragment from an origin write fault may glue onto
+// the next good line (skipped and counted by resultstore.Index.AddLine,
+// the rule the origin's replay applies too — both sides converge on the
+// same record set).
+//
+// One goroutine per peer, the ship loop, moves the replica, its offset,
+// its tail and its generation, so none of them needs a lock; offset and
+// skipped are atomics only because /metrics reads them.
 //
 // Pacing follows the work, not the clock. ShipInterval is only the idle
 // poll of a caught-up replica: the loop also starts on a wake (the prober
-// saw the peer come up, or repair rewound the replica), and while a fetch
-// ingests bytes and leaves lag it asks for the next chunk at once. Anything
-// that is not progress — caught up, an error, a generation mismatch, the
-// peer down — goes back to the timer, so a failing peer sees one journal
-// request per tick and call.go's breaker and budget arithmetic holds.
-
-// errGenerationChanged parks a fetch whose response named a different
-// journal generation than the replica was built from.
-var errGenerationChanged = errors.New("cluster: peer journal generation changed")
+// saw the peer come up), and while a fetch ingests bytes and leaves lag
+// it asks for the next chunk at once. Anything that is not progress —
+// caught up, an error, the peer down — goes back to the timer, so a
+// failing peer sees one journal request per tick and call.go's breaker
+// and budget arithmetic holds.
 
 // shipLoop tails one peer's journal: wait for the tick or a wake, then
-// drain, each chunk under its own syncMu hold so a resync can interleave.
+// drain.
 //
-//sync4:req SYNC4-CLUS-006 v3 MUST A follower whose fetch ingested bytes and still leaves ship lag fetches the next chunk without sleeping, and starts a round as soon as the prober sees the peer come up; an empty, failed or generation-mismatched fetch returns the loop to the ShipInterval timer, so a failing peer is asked for its journal at most once per tick.
+//sync4:req SYNC4-CLUS-003 v4 MUST When a journal response names a generation other than the one the replica was built from, the ship loop discards that response, drops the replica, rewinds its offset and torn-line tail to zero and drains the new generation from offset zero in the same round; a backlog left by a healed partition is drained the same way, without waiting for ticks. Either way every node's /compare census converges back to byte identity.
+//sync4:req SYNC4-CLUS-006 v4 MUST A follower whose fetch ingested bytes and still leaves ship lag fetches the next chunk without sleeping, and starts a round as soon as the prober sees the peer come up; a generation-mismatched fetch rewinds the replica and drains from offset zero, while an empty or failed fetch returns the loop to the ShipInterval timer, so a failing peer is asked for its journal at most once per tick.
 func (c *Cluster) shipLoop(p *peer) {
 	defer c.wg.Done()
 	for c.sleepOrWake(c.cfg.ShipInterval, p.wake) {
 		for p.up.Load() {
 			n, err := c.fetchJournal(p)
 			if err != nil {
-				if !errors.Is(err, errGenerationChanged) {
-					c.shipErrors.Add(1)
-				}
+				c.shipErrors.Add(1)
 				break
 			}
 			c.shipRounds.Add(1)
@@ -74,18 +73,10 @@ func (p *peer) wakeShip() {
 	}
 }
 
-// fetchJournal performs one serialized tail round: fetch a chunk at the
-// replica's offset, fold complete lines in, advance. It returns the byte
-// count ingested. The per-peer syncMu keeps concurrent pullers (the ship
-// loop and a repair resync) from ingesting the same bytes twice.
+// fetchJournal performs one tail round: fetch a chunk at the replica's
+// offset, fold complete lines in, advance. It returns the byte count
+// ingested. Only the peer's ship loop calls it.
 func (c *Cluster) fetchJournal(p *peer) (int, error) {
-	p.syncMu.Lock()
-	defer p.syncMu.Unlock()
-	return c.fetchJournalLocked(p)
-}
-
-// fetchJournalLocked is fetchJournal with p.syncMu already held.
-func (c *Cluster) fetchJournalLocked(p *peer) (int, error) {
 	off := p.offset.Load()
 	resp, err := c.call(c.ctx, p, peernet.EndpointJournal, http.MethodGet,
 		fmt.Sprintf("/peer/journal?offset=%d", off), nil, nil)
@@ -99,19 +90,30 @@ func (c *Cluster) fetchJournalLocked(p *peer) (int, error) {
 	if durable, err := strconv.ParseInt(resp.Header.Get(journalSizeHeader), 10, 64); err == nil {
 		p.durable.Store(durable)
 	}
-	if gen, err := strconv.ParseUint(resp.Header.Get(journalGenHeader), 10, 64); err == nil && gen != 0 {
-		p.gen.Store(gen)
-		synced := p.syncedGen.Load()
-		switch {
-		case synced == 0:
-			// First contact: the bytes about to be ingested belong to this
-			// generation by construction.
-			p.syncedGen.Store(gen)
-		case synced != gen:
-			// The origin reopened its journal since the replica was built.
-			// Ingesting would mix generations; park until repair resyncs.
-			return 0, errGenerationChanged
+	gen, _ := strconv.ParseUint(resp.Header.Get(journalGenHeader), 10, 64)
+	switch {
+	case off == 0:
+		// Nothing is replicated yet, so the bytes about to be ingested
+		// start the replica: they belong to this generation by
+		// construction.
+		p.syncedGen = gen
+	case gen != p.syncedGen:
+		// The origin reopened its journal since the replica was built,
+		// and off may point into the middle of different bytes: leave
+		// this body unread, drop everything the old generation left, and
+		// drain the new one from zero. The refetch, at offset zero, adopts
+		// whatever generation serves it, so it never resyncs in turn.
+		p.replica.Reset()
+		p.tail = p.tail[:0]
+		p.skipped.Store(0)
+		p.offset.Store(0)
+		c.resyncs.v.Add(1)
+		c.cfg.Logf("cluster: peer %s journal generation changed, resyncing replica from 0", p.id)
+		n, err := c.fetchJournal(p)
+		if err == nil {
+			c.repairBytes.v.Add(int64(n))
 		}
+		return n, err
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, journalChunk+1))
 	if err != nil {
@@ -128,8 +130,6 @@ func (c *Cluster) fetchJournalLocked(p *peer) (int, error) {
 // ingest folds shipped bytes into the replica: complete lines parse into
 // records, the trailing partial line waits in p.tail for the next chunk.
 func (p *peer) ingest(chunk []byte) {
-	p.tailMu.Lock()
-	defer p.tailMu.Unlock()
 	data := chunk
 	if len(p.tail) > 0 {
 		data = append(p.tail, chunk...)
@@ -145,13 +145,6 @@ func (p *peer) ingest(chunk []byte) {
 		data = data[i+1:]
 	}
 	p.tail = append(p.tail[:0], data...)
-}
-
-// resetTail drops a buffered torn line. Caller holds p.syncMu.
-func (p *peer) resetTail() {
-	p.tailMu.Lock()
-	p.tail = p.tail[:0]
-	p.tailMu.Unlock()
 }
 
 // shipLag returns how many durable bytes of the peer's journal this node

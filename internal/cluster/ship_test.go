@@ -225,17 +225,15 @@ func preloadBacklog(t *testing.T, store *resultstore.Store, node string) int64 {
 }
 
 // TestShipDrainsBacklogWithoutWaitingForTicks boots a follower beside an
-// origin whose journal is several chunks long, with the ship tick and the
-// repair pass an hour away: only the prober's wake on first contact can
-// start the tail, and only a drain that does not sleep between chunks can
-// finish it.
+// origin whose journal is several chunks long, with the ship tick an hour
+// away: only the prober's wake on first contact can start the tail, and
+// only a drain that does not sleep between chunks can finish it.
 //
 //sync4:covers SYNC4-CLUS-006
 func TestShipDrainsBacklogWithoutWaitingForTicks(t *testing.T) {
 	var size int64
 	nodes := startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
 		ccfg.ShipInterval = time.Hour
-		ccfg.RepairInterval = time.Hour
 		if id == "a" {
 			size = preloadBacklog(t, scfg.Store, id)
 		}
@@ -249,15 +247,15 @@ func TestShipDrainsBacklogWithoutWaitingForTicks(t *testing.T) {
 		t.Fatalf("%d bytes arrived in %d fetches; the journal endpoint caps one at %d", size, rounds, journalChunk)
 	}
 	if got := b.cl.repairBytes.v.Load(); got != 0 {
-		t.Fatalf("the repair pass pulled %d bytes of a plain backlog", got)
+		t.Fatalf("a resync pulled %d bytes of a plain backlog", got)
 	}
 }
 
 // TestShipResumesOnHealWithoutRepairPass cuts b off from a, grows a's
 // journal by several chunks behind the partition and heals it, again with
-// the tick and the repair pass an hour away: the prober's down-to-up
-// transition must restart the tail and the ship loop alone must drain the
-// backlog — no resync, no repair bytes.
+// the tick an hour away: the prober's down-to-up transition must restart
+// the tail, and draining the backlog must cost no resync and no repair
+// bytes.
 //
 //sync4:covers SYNC4-CLUS-003
 //sync4:covers SYNC4-CLUS-006
@@ -265,7 +263,6 @@ func TestShipResumesOnHealWithoutRepairPass(t *testing.T) {
 	var bFaults *netfaulty.Transport
 	nodes := startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
 		ccfg.ShipInterval = time.Hour
-		ccfg.RepairInterval = time.Hour
 		if id == "b" {
 			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout), netfaulty.Plan{Seed: faultSeed})
 			ccfg.Transport = bFaults
@@ -292,7 +289,7 @@ func TestShipResumesOnHealWithoutRepairPass(t *testing.T) {
 		t.Fatalf("b counted %d partition heals, want 1", heals)
 	}
 	if bytes, resyncs := b.cl.repairBytes.v.Load(), b.cl.resyncs.v.Load(); bytes != 0 || resyncs != 0 {
-		t.Fatalf("the heal cost %d repair bytes and %d resyncs, want the ship loop to do all of it", bytes, resyncs)
+		t.Fatalf("the heal cost %d repair bytes and %d resyncs, want a plain drain", bytes, resyncs)
 	}
 }
 
@@ -334,27 +331,21 @@ func shipLoopOf(c *Cluster, p *peer) {
 }
 
 // TestShipFailingPeerIsPolledOncePerTick is the other half of the pacing
-// contract: a fetch that made no progress goes back to the timer. Timer
-// fires cannot outnumber elapsed/tick, so neither may journal requests nor
-// counted errors (an open breaker refuses locally, which a hot loop would
-// show only in the latter).
+// contract: a fetch that made no progress goes back to the timer, even
+// while the origin advertises lag. Timer fires cannot outnumber
+// elapsed/tick, so neither may journal requests nor counted errors (an
+// open breaker refuses locally, which a hot loop would show only in the
+// latter).
 //
 //sync4:covers SYNC4-CLUS-006
 func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
 	const tick = 20 * time.Millisecond
-	line := journalLine(t, "r-origin-1", 1)
 	cases := []struct {
 		name   string
 		answer func(w http.ResponseWriter)
 	}{
 		{"status 500", func(w http.ResponseWriter) { w.WriteHeader(http.StatusInternalServerError) }},
-		{"generation changed", func(w http.ResponseWriter) {
-			// Bytes on offer and lag left, but under a generation the
-			// replica was not built from: the loop must park, not drain.
-			w.Header().Set(journalSizeHeader, "1000000")
-			w.Header().Set(journalGenHeader, "2")
-			w.Write(line)
-		}},
+		{"empty body", func(w http.ResponseWriter) { w.Header().Set(journalSizeHeader, "1000000") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -363,7 +354,6 @@ func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
 				requests.Add(1)
 				tc.answer(w)
 			}))
-			p.syncedGen.Store(1)
 			start := time.Now()
 			shipLoopOf(c, p)
 			waitFor(t, "the ship loop never polled", func() bool { return requests.Load() >= 2 })
@@ -377,6 +367,97 @@ func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
 				t.Fatalf("replica ingested %d records from a failing origin", n)
 			}
 		})
+	}
+}
+
+// TestShipResyncsOnGenerationChange reopens the origin's journal under the
+// follower. Generation 1 holds six records; the follower has shipped one
+// chunk of it, so its offset is mid-line and a torn line waits in its tail.
+// Generation 2 is a shorter journal of other records, yet longer than that
+// offset, so the response that first names it carries bytes from the middle
+// of a generation-2 line. One drain, with the tick an hour away, must
+// discard that response, drop the replica, its tail and its offset, and
+// drain generation 2 from offset zero.
+//
+//sync4:covers SYNC4-CLUS-003
+func TestShipResyncsOnGenerationChange(t *testing.T) {
+	type journal struct {
+		gen   uint64
+		data  []byte
+		index *resultstore.Index // the record set the data replays to
+	}
+	build := func(gen uint64, records int) *journal {
+		j := &journal{gen: gen, index: resultstore.NewIndex()}
+		for i := 1; i <= records; i++ {
+			line := journalLine(t, fmt.Sprintf("r-g%d-%d", gen, i), int64(i))
+			j.data = append(j.data, line...)
+			j.index.AddLine(line[:len(line)-1])
+		}
+		return j
+	}
+	g1, g2 := build(1, 6), build(2, 4)
+	// Each response carries at most two and a half lines, so chunk
+	// boundaries split lines.
+	chunk := int64(len(journalLine(t, "r-g1-1", 1))) * 5 / 2
+	type response struct{ gen, off, n int64 }
+	var (
+		serving atomic.Pointer[journal]
+		mu      sync.Mutex
+		served  []response
+	)
+	serving.Store(g1)
+	c, p := shipOnly(t, time.Hour, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		j := serving.Load()
+		size := int64(len(j.data))
+		off, _ := strconv.ParseInt(r.URL.Query().Get("offset"), 10, 64)
+		off = min(off, size)
+		end := min(off+chunk, size)
+		w.Header().Set(journalSizeHeader, fmt.Sprint(size))
+		w.Header().Set(journalGenHeader, fmt.Sprint(j.gen))
+		w.Write(j.data[off:end])
+		mu.Lock()
+		served = append(served, response{int64(j.gen), off, end - off})
+		mu.Unlock()
+	}))
+
+	// Ship generation 1's first chunk before the loop runs.
+	if n, err := c.fetchJournal(p); err != nil || int64(n) != chunk {
+		t.Fatalf("first fetch of generation 1: %d bytes, %v; want %d", n, err, chunk)
+	}
+	if p.replica.Len() != 2 || len(p.tail) == 0 {
+		t.Fatalf("after one chunk the replica holds %d records and a %d-byte tail, want 2 and a torn line", p.replica.Len(), len(p.tail))
+	}
+
+	serving.Store(g2)
+	mu.Lock()
+	switched := len(served)
+	mu.Unlock()
+	shipLoopOf(c, p)
+	p.wakeShip()
+	size := int64(len(g2.data))
+	waitFor(t, "the follower never drained generation 2", func() bool {
+		return p.offset.Load() == size && p.shipLag() == 0
+	})
+
+	if got, want := p.replica.All(), g2.index.All(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replica after the resync:\n%+v\nwant generation 2's record set:\n%+v", got, want)
+	}
+	if got := p.skipped.Load(); got != 0 {
+		t.Fatalf("skipped %d malformed lines: generation-1 bytes reached the replica after the switch", got)
+	}
+	if got := c.resyncs.v.Load(); got != 1 {
+		t.Fatalf("%d resyncs, want 1", got)
+	}
+	mu.Lock()
+	after := append([]response(nil), served[switched:]...)
+	mu.Unlock()
+	// The first response after the switch names generation 2 at generation
+	// 1's offset; the second is the first fetch after the rewind.
+	if len(after) < 2 || after[0].off != chunk || after[0].n == 0 || after[1].off != 0 {
+		t.Fatalf("responses after the switch %+v, want one at offset %d carrying bytes, then the rewind to 0", after, chunk)
+	}
+	if got := c.repairBytes.v.Load(); got != after[1].n {
+		t.Fatalf("repair bytes %d, want the %d bytes of the first fetch after the rewind", got, after[1].n)
 	}
 }
 

@@ -214,8 +214,8 @@ type Store struct {
 	// replicated bytes came from; seeing a different one means the origin
 	// reopened the journal — restart, truncation, or outright replacement —
 	// and byte offsets from the old generation can no longer be trusted, so
-	// the follower resyncs from offset zero (see internal/cluster's repair
-	// pass). The value is identity, not content: it never changes while the
+	// the follower resyncs from offset zero (see internal/cluster's ship
+	// loop). The value is identity, not content: it never changes while the
 	// store stays open.
 	gen uint64
 }

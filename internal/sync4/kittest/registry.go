@@ -16,7 +16,7 @@ import (
 // (docs/CONFORMANCE.md). Bump it before declaring requirements with a newer
 // since-version; splash4-vet's req-stale analyzer rejects tags from the
 // future.
-const SpecVersion = 3
+const SpecVersion = 4
 
 // RegistrySeed pins the fault schedule the registry's FaultConformance
 // entry runs under, matching the chaos tests' seed so failures reproduce
