@@ -8,10 +8,8 @@
 #   make race         tier-2 gate: the whole suite under the Go race detector,
 #                     then the scheduling-dependent tests again: event order
 #                     x20, the ship loop's drain/heal/pacing/stop/resync
-#                     tests x10, barnes's pooled-lock tree build against its
-#                     reference x10,
-#                     the lu, lu-contiguous, cholesky and multigrid kernels'
-#                     bit-identity tests x5 (-short: test and small scale)
+#                     tests x10, and the result digests of barnes, lu,
+#                     lu-contiguous, cholesky, ocean and ocean-contiguous x5
 #   make fuzz         30 s of FuzzAddLine: AddLine's fast journal-line decoder
 #                     against json.Unmarshal (its committed seeds run in
 #                     every go test)
@@ -60,19 +58,18 @@ allocs-gate:
 # journal generation change against fetches in flight, so they get 10 more
 # passes for the same reason.
 # barnes hashes its tree cells onto a pool of 2048 locks, so unrelated cells
-# share a lock and a locking mistake shows only under some interleavings: its
-# bit-for-bit comparison with a sequential reference gets 10 more passes.
-# The register-tiled block updates and the multigrid restriction's per-thread
-# rolling residual rows are where a scheduling-dependent mistake would hide
-# (a tile edge shared by two owners, a row another thread overwrites), so
-# their bit-for-bit comparisons with sequential references get 5 more passes
-# at the test and small scales.
+# share a lock and a locking mistake shows only under some interleavings; the
+# register-tiled block updates of lu, lu-contiguous and cholesky and the
+# multigrid restriction's per-thread rolling residual rows of the two oceans
+# are where a scheduling-dependent mistake would hide (a tile edge shared by
+# two owners, a row another thread overwrites). Their committed result
+# digests, at test and small scale and 1, 2, 3 and 7 threads, get 5 more
+# passes.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
 	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain|Resyncs)' ./internal/cluster/
-	$(GO) test -race -count=10 -run 'TestDeterministicAcrossKits' ./internal/workloads/barnes/
-	$(GO) test -race -short -count=5 -run 'TestBitIdenticalToReference' ./internal/workloads/lu/ ./internal/workloads/lucont/ ./internal/workloads/cholesky/ ./internal/workloads/mgcommon/
+	$(GO) test -race -count=5 -run 'TestResultDigests/runs/(barnes|lu|lu-contiguous|cholesky|ocean|ocean-contiguous)$$' ./internal/workloads/all/
 
 # fuzz searches past FuzzAddLine's committed seeds for a journal line on
 # which AddLine's fast path and json.Unmarshal disagree: the fast path must
@@ -101,12 +98,11 @@ conformance:
 conformance-gen:
 	$(GO) run ./cmd/splash4-vet -conformance docs/CONFORMANCE.md ./...
 
-# digests rewrites the committed result digests (TestResultDigests) of the
-# seven programs that write their result: barnes, raytrace, volrend, ocean,
-# ocean-contiguous, water-nsquared and water-spatial, each at the thread
-# counts the test's digestThreads table lists for it (where its result
-# depends on its inputs alone). A kernel change must leave the file
-# byte-identical; a change that alters a program's output rewrites it here
-# and says why in CHANGES.md.
+# digests rewrites the committed result digests (TestResultDigests) of all
+# fourteen programs, each at the thread counts the test's digestThreads
+# table lists for it (where its result depends on its inputs alone). A
+# kernel change must leave the file byte-identical; a change that alters a
+# program's output rewrites it here and says why in CHANGES.md. The test
+# refuses to write the file from a run that a -run filter cut short.
 digests:
 	$(GO) test -count=1 -run '^TestResultDigests$$' ./internal/workloads/all/ -update

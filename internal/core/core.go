@@ -69,7 +69,9 @@ type Config struct {
 	Scale Scale
 	// Seed makes input generation deterministic. Two Prepare calls with
 	// equal Config produce identical inputs regardless of Kit, so
-	// classic and lockfree runs are directly comparable.
+	// classic and lockfree runs are directly comparable. ocean,
+	// ocean-contiguous and radiosity ignore it: their inputs are fixed by
+	// the scale alone.
 	Seed int64
 }
 
@@ -111,8 +113,9 @@ type Instance interface {
 
 // ResultWriter is implemented by an Instance that can write its result
 // state: after Run, WriteResult writes the values the run computed to w as
-// little-endian float64 bits, so that two runs computed the same thing iff
-// they wrote the same bytes. The suite's digest test hashes these bytes.
+// little-endian 64-bit words (float64 bits, or int64s for integer results),
+// so that two runs computed the same thing iff they wrote the same bytes.
+// The suite's digest test hashes these bytes.
 type ResultWriter interface {
 	WriteResult(w io.Writer) error
 }

@@ -1,7 +1,6 @@
 package barnes
 
 import (
-	"math"
 	"slices"
 	"testing"
 	"unsafe"
@@ -75,72 +74,12 @@ func run(t *testing.T, kit sync4.Kit, threads int, scale core.Scale, seed int64)
 	return in
 }
 
-// refRun is the program's steps on one goroutine with the force phase
-// walking bodies in index order, as it did before chunks became tree-order
-// ranks. The tree is built, folded and laid out by the program's own
-// functions.
-func (in *instance) refRun() {
-	for s := 0; s < in.steps; s++ {
-		in.minX.Reset()
-		in.minY.Reset()
-		in.minZ.Reset()
-		for i := 0; i < in.n; i++ {
-			in.minX.Update(in.x[3*i])
-			in.minY.Update(in.x[3*i+1])
-			in.minZ.Update(in.x[3*i+2])
-		}
-		in.plantRoot()
-		nodes := &in.subtreeNodes[0]
-		*nodes = [64]int32{}
-		for i := 0; i < in.n; i++ {
-			in.insert(int32(i), nodes)
-		}
-		in.planCOM()
-		for _, t := range in.comTasks {
-			in.runCOM(t)
-		}
-		in.foldTop()
-		for b := 0; b < in.n; b++ {
-			in.gravity(int32(b))
-		}
-		for i := range in.v {
-			in.v[i] += dt * in.acc[i]
-			in.x[i] += dt * in.v[i]
-		}
-	}
-}
-
-// TestDeterministicAcrossKits holds x, v and acc bit for bit to a reference
-// whose force phase walks bodies in index order. A chunk that skips or
-// repeats a rank, a tree that depends on insertion order, or a pool lock
-// that fails to exclude shows up as a differing bit.
+// TestDeterministicAcrossKits holds x, v and acc bit for bit to barnes's
+// committed result digests under both kits at 1, 2, 3 and 7 threads. A
+// chunk that skips or repeats a rank, a tree that depends on insertion
+// order, or a pool lock that fails to exclude shows up as a differing bit.
 func TestDeterministicAcrossKits(t *testing.T) {
-	for _, seed := range []int64{1, 7} {
-		ref := prepare(t, classic.New(), 1, core.ScaleTest, seed)
-		ref.refRun()
-		for _, kit := range []sync4.Kit{classic.New(), lockfree.New()} {
-			for _, threads := range []int{1, 2, 3, 7} {
-				got := run(t, kit, threads, core.ScaleTest, seed)
-				for _, f := range []struct {
-					name      string
-					got, want []float64
-				}{{"x", got.x, ref.x}, {"v", got.v, ref.v}, {"acc", got.acc, ref.acc}} {
-					if i := firstDiff(f.got, f.want); i >= 0 {
-						t.Errorf("seed %d, %s, %d threads: %s[%d] is %v, index-order reference %v", seed, kit.Name(), threads, f.name, i, f.got[i], f.want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func firstDiff(a, b []float64) int {
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return i
-		}
-	}
-	return -1
+	workloadtest.MatchesDigests(t, New(), 1, 2, 3, 7)
 }
 
 // leaves appends idx's bodies in depth-first octant order: the tree order

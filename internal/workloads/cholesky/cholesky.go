@@ -24,7 +24,9 @@
 package cholesky
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -309,6 +311,12 @@ func (in *instance) Verify() error {
 		}
 	}
 	return nil
+}
+
+// WriteResult implements core.ResultWriter: the matrix row-major, L in its
+// lower triangle.
+func (in *instance) WriteResult(w io.Writer) error {
+	return binary.Write(w, binary.LittleEndian, in.a)
 }
 
 // eps is float64's machine epsilon.

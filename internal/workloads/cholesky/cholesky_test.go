@@ -13,6 +13,13 @@ func TestCorrectAcrossKitsAndThreads(t *testing.T) {
 	workloadtest.Matrix(t, cholesky.New())
 }
 
+// TestBitIdenticalToReference holds the factor bit for bit to cholesky's
+// committed result digests under both kits at 1, 2, 3 and 7 threads: a
+// block updated in another order or from a stale block changes a bit.
+func TestBitIdenticalToReference(t *testing.T) {
+	workloadtest.MatchesDigests(t, cholesky.New(), 1, 2, 3, 7)
+}
+
 func TestDynamicSchedulingIsSeedStable(t *testing.T) {
 	// The task pool hands out blocks in a nondeterministic order, but the
 	// factorization result is order-independent within a phase: every

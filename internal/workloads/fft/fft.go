@@ -25,7 +25,9 @@
 package fft
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -295,14 +297,20 @@ func (in *instance) Verify() error {
 	return nil
 }
 
+// WriteResult implements core.ResultWriter: the transform, each point's real
+// then imaginary part. The checksum is left out: from three threads its
+// partial sums arrive in schedule order.
+func (in *instance) WriteResult(w io.Writer) error {
+	return binary.Write(w, binary.LittleEndian, in.trans)
+}
+
 // tolerance is the largest |kernel - oracle| Verify accepts on an n-point
 // transform whose largest output magnitude is maxMag: 8 eps log2(n) maxMag,
 // following the log2(n) growth of a radix-2 FFT's rounding error. Measured
 // at m = 12, 16 and 20 on seeds 1-3, the kernel's worst error is 0.14-0.17
-// eps log2(n) maxMag (about 50x headroom), and the reference kernel the
-// tests hold it to, whose twiddles are a running product, reaches 4.8 at
-// m = 20. Roots rounded to float32 miss the bound by a factor of three
-// million.
+// eps log2(n) maxMag (about 50x headroom), and a kernel whose twiddles are
+// a running product reaches 4.8 at m = 20. Roots rounded to float32 miss
+// the bound by a factor of three million.
 func tolerance(n int, maxMag float64) float64 {
 	const eps = 0x1p-52
 	return 8 * eps * math.Log2(float64(n)) * math.Max(maxMag, 1)

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -128,76 +127,6 @@ func TestVerifyRejectsSinglePrecisionRoots(t *testing.T) {
 	}
 }
 
-// refFFT1D, refTwiddle and refTransposeRows are the kernel's steps as they
-// were before the root tables and the blocked transpose, kept verbatim as
-// the oracle the fast path is held to.
-func refFFT1D(a []complex128) {
-	n := len(a)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := a[i+j]
-				v := a[i+j+half] * w
-				a[i+j] = u + v
-				a[i+j+half] = u - v
-				w *= wl
-			}
-		}
-	}
-}
-
-func (in *instance) refTwiddle(lo, hi int) {
-	w := -2 * math.Pi / float64(in.n)
-	for r := lo; r < hi; r++ {
-		row := in.trans[r*in.rootN : (r+1)*in.rootN]
-		for c := range row {
-			angle := w * float64(r) * float64(c)
-			row[c] *= cmplx.Exp(complex(0, angle))
-		}
-	}
-}
-
-func (in *instance) refTransposeRows(src, dst []complex128, lo, hi int) {
-	n := in.rootN
-	for r := lo; r < hi; r++ {
-		row := src[r*n : (r+1)*n]
-		for c := 0; c < n; c++ {
-			dst[c*n+r] = row[c]
-		}
-	}
-}
-
-// refRun is the six steps on one thread with the reference kernel; it
-// leaves the transform in in.trans.
-func (in *instance) refRun() {
-	n := in.rootN
-	in.refTransposeRows(in.x, in.trans, 0, n)
-	for r := 0; r < n; r++ {
-		refFFT1D(in.trans[r*n : (r+1)*n])
-	}
-	in.refTwiddle(0, n)
-	in.refTransposeRows(in.trans, in.x, 0, n)
-	for r := 0; r < n; r++ {
-		refFFT1D(in.x[r*n : (r+1)*n])
-	}
-	in.refTransposeRows(in.x, in.trans, 0, n)
-}
-
 // TestBlockedTransposeMatchesNaive moves every element of a matrix whose
 // values name their position, for every split of the rows among 1-16
 // threads, and requires the naive transpose's result exactly.
@@ -212,54 +141,21 @@ func TestBlockedTransposeMatchesNaive(t *testing.T) {
 		for i := range src {
 			src[i] = complex(float64(i), -float64(i))
 		}
+		want := make([]complex128, in.n)
+		for r := 0; r < in.rootN; r++ {
+			for c := 0; c < in.rootN; c++ {
+				want[c*in.rootN+r] = src[r*in.rootN+c]
+			}
+		}
 		for threads := 1; threads <= 16; threads++ {
 			got := make([]complex128, in.n)
-			want := make([]complex128, in.n)
 			for tid := 0; tid < threads; tid++ {
 				lo, hi := core.BlockRange(tid, threads, in.rootN)
 				in.transposeRows(src, got, lo, hi)
-				in.refTransposeRows(src, want, lo, hi)
 			}
 			for i := range want {
 				if !sameBits(got[i], want[i]) {
 					t.Fatalf("scale %s, %d threads: element %d is %v, naive transpose %v", scale, threads, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestKernelMatchesReference holds a full parallel run to the reference
-// kernel within Verify's bound.
-func TestKernelMatchesReference(t *testing.T) {
-	cases := []struct {
-		scale core.Scale
-		seeds []int64
-	}{
-		{core.ScaleTest, []int64{1, 7, 77}},
-		{core.ScaleSmall, []int64{1, 7, 77}},
-		{core.ScaleDefault, []int64{7}},
-	}
-	for _, c := range cases {
-		if c.scale == core.ScaleDefault && testing.Short() {
-			continue
-		}
-		for _, seed := range c.seeds {
-			got := run(t, lockfree.New(), 3, c.scale, seed)
-			inst, err := New().Prepare(core.Config{Threads: 1, Kit: classic.New(), Scale: c.scale, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := inst.(*instance)
-			ref.refRun()
-			var maxMag float64
-			for _, v := range ref.trans {
-				maxMag = math.Max(maxMag, cmplx.Abs(v))
-			}
-			tol := tolerance(ref.n, maxMag)
-			for i, want := range ref.trans {
-				if d := cmplx.Abs(got.trans[i] - want); d > tol {
-					t.Fatalf("scale %s seed %d: element %d is %v, reference %v (|diff| %g, tol %g)", c.scale, seed, i, got.trans[i], want, d, tol)
 				}
 			}
 		}

@@ -19,7 +19,9 @@
 package fmm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -369,6 +371,18 @@ func (in *instance) directField(i int) complex128 {
 		f += complex(in.q[j], 0) / (in.z[i] - in.z[j])
 	}
 	return f
+}
+
+// WriteResult implements core.ResultWriter: the potentials, the fields and
+// the energy.
+func (in *instance) WriteResult(w io.Writer) error {
+	if err := binary.Write(w, binary.LittleEndian, in.phi); err != nil {
+		return err
+	}
+	if err := binary.Write(w, binary.LittleEndian, in.field); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.LittleEndian, in.energy.Load())
 }
 
 // Verify implements core.Instance: sampled potentials must match the direct

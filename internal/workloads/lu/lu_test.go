@@ -14,6 +14,13 @@ func TestCorrectAcrossKitsAndThreads(t *testing.T) {
 	workloadtest.Matrix(t, lu.New())
 }
 
+// TestBitIdenticalToReference holds the factor bit for bit to lu's
+// committed result digests under both kits at 1, 2, 3 and 7 threads: a
+// tile edge off by one or a block updated from a stale row changes a bit.
+func TestBitIdenticalToReference(t *testing.T) {
+	workloadtest.MatchesDigests(t, lu.New(), 1, 2, 3, 7)
+}
+
 func TestSequentialMatchesParallel(t *testing.T) {
 	// The factorization is deterministic: same seed, 1 thread vs many
 	// threads must produce bit-identical verification behavior. Run both
@@ -54,6 +61,32 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 		*inst.(*lucommon.LU).At(at[0], at[1]) *= 1 + 1e-6
 		if err := inst.Verify(); err == nil {
 			t.Fatalf("Verify accepted L[%d][%d] off by a relative 1e-6", at[0], at[1])
+		}
+	}
+}
+
+// TestVerifyRejectsSinglePrecisionUpdate is the tolerance's own check: a
+// correct factorization with every factor element rounded to float32, the
+// precision a float32 update would leave, must fail Verify.
+func TestVerifyRejectsSinglePrecisionUpdate(t *testing.T) {
+	for _, scale := range []core.Scale{core.ScaleTest, core.ScaleDefault} {
+		inst, err := lu.New().Prepare(core.Config{Threads: 2, Kit: classic.New(), Scale: scale, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Run(); err != nil {
+			t.Fatal(err)
+		}
+		m := inst.(*lucommon.LU)
+		n, _ := m.Size()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a := m.At(i, j)
+				*a = float64(float32(*a))
+			}
+		}
+		if err := m.Verify(); err == nil {
+			t.Fatalf("scale %s: Verify accepted factors rounded to float32", scale)
 		}
 	}
 }

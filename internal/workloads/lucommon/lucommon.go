@@ -33,7 +33,9 @@
 package lucommon
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -326,6 +328,20 @@ func (m *LU) Verify() error {
 			if d := math.Abs(z[i] - want[i]); d > tol {
 				return fmt.Errorf("%s: probe %d row %d: L*U*x=%g, A*x=%g (|diff|=%g, tol=%g)",
 					m.name, probe, i, z[i], want[i], d, tol)
+			}
+		}
+	}
+	return nil
+}
+
+// WriteResult implements core.ResultWriter: the factors row-major, element
+// (i, j) at i*n+j whatever the layout, so both LU programs write the same
+// bytes for the same factors.
+func (m *LU) WriteResult(w io.Writer) error {
+	for i := 0; i < m.n; i++ {
+		for bj := 0; bj < m.nb; bj++ {
+			if err := binary.Write(w, binary.LittleEndian, m.row(i, bj)); err != nil {
+				return err
 			}
 		}
 	}

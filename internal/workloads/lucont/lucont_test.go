@@ -51,6 +51,32 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsSinglePrecisionUpdate is the tolerance's own check: a
+// correct factorization with every factor element rounded to float32, the
+// precision a float32 update would leave, must fail Verify.
+func TestVerifyRejectsSinglePrecisionUpdate(t *testing.T) {
+	for _, scale := range []core.Scale{core.ScaleTest, core.ScaleDefault} {
+		inst, err := lucont.New().Prepare(core.Config{Threads: 2, Kit: classic.New(), Scale: scale, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Run(); err != nil {
+			t.Fatal(err)
+		}
+		m := inst.(*lucommon.LU)
+		n, _ := m.Size()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a := m.At(i, j)
+				*a = float64(float32(*a))
+			}
+		}
+		if err := m.Verify(); err == nil {
+			t.Fatalf("scale %s: Verify accepted factors rounded to float32", scale)
+		}
+	}
+}
+
 func TestInstanceReuseFails(t *testing.T) {
 	inst, err := lucont.New().Prepare(core.Config{Threads: 1, Kit: classic.New(), Scale: core.ScaleTest})
 	if err != nil {

@@ -128,21 +128,11 @@ func TestVShiftMakesPotentialContinuous(t *testing.T) {
 	}
 }
 
-// refRowForces is RowForces as it was before molecule i stayed in
-// registers, kept verbatim as the oracle the kernel is held to.
-func refRowForces(x, f []float64, i, n int, box, rc, vShift float64) float64 {
-	var pe float64
-	for j := i + 1; j < n; j++ {
-		pe += mdcommon.PairInteraction(x, f, i, j, box, rc, vShift)
-	}
-	return pe
-}
-
-// TestRowForcesBitIdenticalToPairLoop holds RowForces bit for bit to the
-// PairInteraction loop on the WATER programs' initial states, row by row
-// into one force array as a thread's cyclic rows accumulate. Whole runs are
-// not compared: at three or more threads the merged forces arrive in
-// schedule order.
+// TestRowForcesBitIdenticalToPairLoop holds RowForces bit for bit to a
+// loop of PairInteraction calls over the same row, on the WATER programs'
+// initial states, row by row into one force array as a thread's cyclic rows
+// accumulate. Whole runs are not compared: at three or more threads the
+// merged forces arrive in schedule order.
 func TestRowForcesBitIdenticalToPairLoop(t *testing.T) {
 	for _, n := range []int{64, 216, 512} {
 		box := mdcommon.Box(n)
@@ -156,7 +146,10 @@ func TestRowForcesBitIdenticalToPairLoop(t *testing.T) {
 			want := make([]float64, 3*n)
 			for i := 0; i < n; i++ {
 				pg := mdcommon.RowForces(x, got, i, n, box, rc, vs)
-				pw := refRowForces(x, want, i, n, box, rc, vs)
+				var pw float64
+				for j := i + 1; j < n; j++ {
+					pw += mdcommon.PairInteraction(x, want, i, j, box, rc, vs)
+				}
 				if math.Float64bits(pg) != math.Float64bits(pw) {
 					t.Fatalf("n %d seed %d: row %d energy %v, pair loop %v", n, seed, i, pg, pw)
 				}

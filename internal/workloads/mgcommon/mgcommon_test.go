@@ -8,6 +8,9 @@ import (
 	"repro/internal/sync4/classic"
 	"repro/internal/sync4/lockfree"
 	"repro/internal/workloads/mgcommon"
+	"repro/internal/workloads/ocean"
+	"repro/internal/workloads/oceancont"
+	"repro/internal/workloads/workloadtest"
 )
 
 // flatAlloc is the simple single-allocation layout used by tests.
@@ -19,6 +22,15 @@ func flatAlloc(_, n int) [][]float64 {
 		rows[r], backing = backing[:width:width], backing[width:]
 	}
 	return rows
+}
+
+// TestBitIdenticalToReference holds both OCEAN layouts' solves bit for bit
+// to their committed result digests under both kits at 1, 2, 3 and 7
+// threads. A rolling row left stale, a band edge off by one, or a thread's
+// rows shared with another thread shows up as a differing bit.
+func TestBitIdenticalToReference(t *testing.T) {
+	workloadtest.MatchesDigests(t, ocean.New(), 1, 2, 3, 7)
+	workloadtest.MatchesDigests(t, oceancont.New(), 1, 2, 3, 7)
 }
 
 func TestSolveConvergesAndMatchesAnalytic(t *testing.T) {

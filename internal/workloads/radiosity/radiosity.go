@@ -23,7 +23,9 @@
 package radiosity
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/core"
@@ -289,6 +291,17 @@ func (in *instance) worker(tid int) {
 		in.iterations = in.iterCap
 		in.converged = true
 	}
+}
+
+// WriteResult implements core.ResultWriter: the radiosity and unshot
+// vectors, then the iteration count.
+func (in *instance) WriteResult(w io.Writer) error {
+	for _, v := range [][]float64{in.b, in.unshot} {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
+		}
+	}
+	return binary.Write(w, binary.LittleEndian, float64(in.iterations))
 }
 
 // Verify implements core.Instance: an independent sequential replay of the

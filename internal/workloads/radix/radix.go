@@ -19,7 +19,9 @@
 package radix
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 
@@ -210,6 +212,11 @@ func (in *instance) worker(tid int) {
 
 		src, dst = dst, src
 	}
+}
+
+// WriteResult implements core.ResultWriter: the sorted keys, as int64s.
+func (in *instance) WriteResult(w io.Writer) error {
+	return binary.Write(w, binary.LittleEndian, in.keys)
 }
 
 // Verify implements core.Instance: the output must equal the independently

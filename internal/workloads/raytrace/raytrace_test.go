@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sync4"
 	"repro/internal/sync4/classic"
 	"repro/internal/sync4/lockfree"
 	"repro/internal/workloads/workloadtest"
@@ -13,6 +12,14 @@ import (
 
 func TestCorrectAcrossKitsAndThreads(t *testing.T) {
 	workloadtest.Matrix(t, New())
+}
+
+// TestRenderMatchesReference holds the image and ray count to raytrace's
+// committed result digests under both kits at 1, 2, 3 and 7 threads.
+// Verify re-renders with the same intersect, so a bound that drops a hit
+// passes it; this does not.
+func TestRenderMatchesReference(t *testing.T) {
+	workloadtest.MatchesDigests(t, New(), 1, 2, 3, 7)
 }
 
 func TestDifferentScenesRender(t *testing.T) {
@@ -77,109 +84,6 @@ func (in *instance) refIntersect(o, d vec) (kind, idx int, tHit float64) {
 		return 0, 0, 0
 	}
 	return kind, idx, tHit
-}
-
-// refTrace is trace with every intersection taken by refIntersect.
-func (in *instance) refTrace(o, d vec, depth int, ctr sync4.Counter) vec {
-	ctr.Inc() // the contended global ray ticket
-
-	kind, idx, tHit := in.refIntersect(o, d)
-	if kind == 0 {
-		// Sky gradient.
-		g := 0.5 * (d.y + 1)
-		return vec{0.25, 0.35, 0.5}.scale(g).add(vec{0.05, 0.05, 0.08})
-	}
-	hit := o.add(d.scale(tHit))
-
-	var n vec
-	var base vec
-	var refl float64
-	if kind == 1 {
-		s := &in.scene.spheres[idx]
-		n = hit.sub(s.center).norm()
-		base = s.color
-		refl = s.reflect
-	} else {
-		n = vec{0, 1, 0}
-		// Checkerboard.
-		if (int(math.Floor(hit.x))+int(math.Floor(hit.z)))&1 == 0 {
-			base = vec{0.85, 0.85, 0.85}
-		} else {
-			base = vec{0.2, 0.2, 0.25}
-		}
-		refl = 0.15
-	}
-
-	col := base.scale(0.1) // ambient
-	for _, l := range in.scene.lights {
-		toL := l.pos.sub(hit)
-		dist := math.Sqrt(toL.dot(toL))
-		ldir := toL.scale(1 / dist)
-		// Shadow ray (also a counted ray).
-		ctr.Inc()
-		sk, _, st := in.refIntersect(hit.add(n.scale(1e-6)), ldir)
-		if sk != 0 && st < dist {
-			continue
-		}
-		if diff := n.dot(ldir); diff > 0 {
-			col = col.add(base.mul(l.color).scale(diff))
-		}
-		h := ldir.sub(d).norm()
-		if spec := n.dot(h); spec > 0 {
-			col = col.add(l.color.scale(0.3 * math.Pow(spec, 32)))
-		}
-	}
-
-	if refl > 0 && depth < maxDepth {
-		rd := d.sub(n.scale(2 * d.dot(n)))
-		rc := in.refTrace(hit.add(n.scale(1e-6)), rd, depth+1, ctr)
-		col = col.add(rc.scale(refl))
-	}
-	return col
-}
-
-// TestRenderMatchesReference holds a parallel render's image and ray count
-// to a sequential one through refIntersect. Verify re-renders with the same
-// intersect, so a bound that drops a hit passes it; this does not.
-func TestRenderMatchesReference(t *testing.T) {
-	cases := []struct {
-		scale core.Scale
-		seeds []int64
-	}{
-		{core.ScaleTest, []int64{1, 7, 77}},
-		{core.ScaleSmall, []int64{1, 7, 77}},
-		{core.ScaleDefault, []int64{7}},
-	}
-	for _, c := range cases {
-		if c.scale == core.ScaleDefault && testing.Short() {
-			continue
-		}
-		for _, seed := range c.seeds {
-			inst, err := New().Prepare(core.Config{Threads: 3, Kit: lockfree.New(), Scale: c.scale, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := inst.Run(); err != nil {
-				t.Fatal(err)
-			}
-			in := inst.(*instance)
-			ctr := &plainCounter{}
-			for y := 0; y < in.size; y++ {
-				for x := 0; x < in.size; x++ {
-					fx := (float64(x)+0.5)/float64(in.size)*2 - 1
-					fy := 1 - (float64(y)+0.5)/float64(in.size)*2
-					col := in.refTrace(vec{0, 2.5, -7}, vec{fx * 1.2, fy*1.2 - 0.25, 1}.norm(), 0, ctr)
-					p := 3 * (y*in.size + x)
-					if got := (vec{in.img[p], in.img[p+1], in.img[p+2]}); got != col {
-						t.Fatalf("scale %s seed %d pixel (%d,%d): %v, reference %v", c.scale, seed, x, y, got, col)
-					}
-				}
-			}
-			if got := in.rayCtr.Load(); got != ctr.v {
-				t.Errorf("scale %s seed %d: %d rays, reference %d", c.scale, seed, got, ctr.v)
-			}
-		}
-	}
 }
 
 // TestBoundNeverDropsAHit casts rays built to sit on the bound's edge cases

@@ -204,8 +204,8 @@ func (in *instance) synthesizeVolume(seed int64) {
 	// One pass per column, with the column's six blob weights in registers
 	// and the six factor runs read side by side, so neighbouring voxels'
 	// sums overlap in the pipeline. Each voxel must still sum the shell
-	// term and then blobs 0..5 in that order: the density is held bit for
-	// bit to a per-voxel reference by TestShellTableMatchesPerVoxelShell.
+	// term and then blobs 0..5 in that order, the order the committed
+	// image digests were taken with.
 	ez0, ez1, ez2, ez3, ez4, ez5 := ez[0][:v], ez[1][:v], ez[2][:v], ez[3][:v], ez[4][:v], ez[5][:v]
 	sqz := sq[:v]
 	for y := 0; y < v; y++ {
@@ -472,8 +472,8 @@ func (in *instance) march(rays []ray, x0, y0 int, fy float32, row []float64) {
 // synthetic shell guarantees non-trivial content). The re-render uses the
 // same renderTile, so this checks that the image does not depend on which
 // worker claimed which tile (a lost or torn tile fetch fails here), not the
-// kernel: that each ray composites what a plain march over every step would
-// is checked, ray for ray, by TestFastPathMatchesReferenceRayForRay.
+// kernel: the kernel's image is held to the committed digests by
+// TestResultDigests in package all.
 func (in *instance) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("volrend: verify before run")
