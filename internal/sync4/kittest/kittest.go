@@ -7,10 +7,13 @@ package kittest
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sync4"
 )
@@ -55,35 +58,72 @@ func testBarrier(t *testing.T, kit sync4.Kit) {
 		counters[i] = kit.NewCounter()
 	}
 	var wg sync.WaitGroup
+	reached := make([]atomic.Int64, threads)
 	errs := make(chan string, threads*episodes)
 	for tid := 0; tid < threads; tid++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for e := 0; e < episodes; e++ {
+				reached[tid].Store(int64(e))
 				counters[e].Inc()
 				b.Wait()
 				if got := counters[e].Load(); got != threads {
+					// Keep going: a participant that quits strands the
+					// rest in the next episode.
 					errs <- "barrier released before all arrived"
-					return
 				}
 				b.Wait() // separate the check from the next episode's increments
 			}
 		}()
 	}
-	wg.Wait()
+	awaitEpisodes(t, "barrier", &wg, reached)
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
 	}
 }
 
+// stuckTimeout bounds a case that can block, so that a lost release fails
+// the test and names its episode instead of hanging the test binary.
+const stuckTimeout = 10 * time.Second
+
+// awaitEpisodes waits for wg, or fails t once stuckTimeout passes with the
+// lowest episode of what some participant is stuck in; reached[i] is the
+// episode participant i last entered. The stuck goroutines are leaked.
+func awaitEpisodes(t *testing.T, what string, wg *sync.WaitGroup, reached []atomic.Int64) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(stuckTimeout):
+		eps := make([]int64, len(reached))
+		for i := range reached {
+			eps[i] = reached[i].Load()
+		}
+		t.Fatalf("%s episode %d not released after %v (participants' episodes %v)",
+			what, slices.Min(eps), stuckTimeout, eps)
+	}
+}
+
 //sync4:req SYNC4-BARRIER-003 v1 MUST A single-participant barrier's Wait returns immediately, every episode, without deadlock.
 func testBarrierSingle(t *testing.T, kit sync4.Kit) {
 	b := kit.NewBarrier(1)
-	for i := 0; i < 100; i++ {
-		b.Wait() // must not deadlock
-	}
+	var wg sync.WaitGroup
+	reached := make([]atomic.Int64, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for e := 0; e < 100; e++ {
+			reached[0].Store(int64(e))
+			b.Wait() // must not deadlock
+		}
+	}()
+	awaitEpisodes(t, "single-party barrier", &wg, reached)
 }
 
 //sync4:req SYNC4-LOCK-001 v1 MUST A lock provides mutual exclusion: plain read-modify-write updates to shared memory performed inside Lock/Unlock lose no updates under concurrency.
@@ -458,19 +498,25 @@ func testQueueConcurrent(t *testing.T, kit sync4.Kit) {
 	}
 }
 
-//sync4:req SYNC4-STACK-001 v1 MUST A stack pops single-threaded elements in LIFO order, Len reports the pushed count, and TryPop on an empty stack reports false.
+//sync4:req SYNC4-STACK-001 v1 MUST A stack pops single-threaded elements in LIFO order, Len reports the number of elements held after every push and every pop, and TryPop on an empty stack reports false.
 func testStackLIFO(t *testing.T, kit sync4.Kit) {
 	s := kit.NewStack()
+	if got := s.Len(); got != 0 {
+		t.Fatalf("len of a new stack: got %d want 0", got)
+	}
 	for i := int64(0); i < 10; i++ {
 		s.Push(i)
-	}
-	if got := s.Len(); got != 10 {
-		t.Fatalf("len: got %d want 10", got)
+		if got := s.Len(); got != int(i)+1 {
+			t.Fatalf("len after %d pushes: got %d", i+1, got)
+		}
 	}
 	for i := int64(9); i >= 0; i-- {
 		v, ok := s.TryPop()
 		if !ok || v != i {
 			t.Fatalf("pop: got (%d,%v) want (%d,true)", v, ok, i)
+		}
+		if got := s.Len(); got != int(i) {
+			t.Fatalf("len after popping %d: got %d want %d", v, got, i)
 		}
 	}
 	if _, ok := s.TryPop(); ok {
@@ -478,7 +524,7 @@ func testStackLIFO(t *testing.T, kit sync4.Kit) {
 	}
 }
 
-//sync4:req SYNC4-STACK-002 v1 MUST Under concurrent push/pop pressure, a stack neither loses nor duplicates elements: drained values form the exact pushed set.
+//sync4:req SYNC4-STACK-002 v1 MUST Under concurrent push/pop pressure, a stack neither loses nor duplicates elements: drained values form the exact pushed set, and Len reads 0 once drained.
 func testStackConcurrent(t *testing.T, kit sync4.Kit) {
 	const threads = 8
 	const perThread = 2500
@@ -510,6 +556,9 @@ func testStackConcurrent(t *testing.T, kit sync4.Kit) {
 			break
 		}
 		got = append(got, v)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("drained stack reports Len %d, want 0", n)
 	}
 	want := threads * perThread
 	if len(got) != want {

@@ -2,6 +2,8 @@ package kittest
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sync4"
@@ -84,6 +86,15 @@ func ZeroAlloc(t *testing.T, kit sync4.Kit) {
 	for _, k := range keys {
 		k := k
 		t.Run("zeroalloc/"+k, func(t *testing.T) {
+			// One call under the watchdog first: a probe that blocks fails
+			// here instead of hanging AllocsPerRun.
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				probes[k]()
+			}()
+			awaitEpisodes(t, k, &wg, make([]atomic.Int64, 1))
 			if avg := testing.AllocsPerRun(100, probes[k]); avg != 0 {
 				t.Errorf("%s: %.1f allocs per op; want 0", k, avg)
 			}

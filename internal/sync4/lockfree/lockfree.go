@@ -2,11 +2,10 @@
 // same constructs as package classic, rebuilt on atomic operations. Counters
 // become fetch-and-add, floating-point reductions become compare-and-swap
 // retry loops on the bit pattern, flags become atomic booleans with bounded
-// spinning, barriers become sense-free atomic phase barriers, and the task
-// structures become a Vyukov bounded MPMC ring and a Treiber stack.
-//
-// Go has no atomic floating-point types, so the CAS-loop formulation here is
-// the same one Splash-4 uses on targets without native atomic doubles.
+// spinning, barriers become ticket barriers, and the task structures become
+// a Vyukov bounded MPMC ring and a Treiber stack. Each construct's comment
+// states its progress guarantee: the barrier, flag and lock block. Go has no
+// atomic floats, so the CAS loops are Splash-4's own for targets without them.
 package lockfree
 
 import (
@@ -52,7 +51,7 @@ func (Kit) NewBarrier(n int) sync4.Barrier {
 	if n < 1 {
 		panic("lockfree: barrier size must be >= 1")
 	}
-	return &barrier{n: int64(n)}
+	return &barrier{n: uint64(n)}
 }
 
 // NewLock implements sync4.Kit.
@@ -85,49 +84,46 @@ func (Kit) NewQueue(capacity int) sync4.Queue {
 // NewStack implements sync4.Kit.
 func (Kit) NewStack() sync4.Stack { return new(stack) }
 
-// barrier is a counter/phase barrier: arrivals fetch-and-add a shared count;
-// the last arrival resets the count and advances the phase; everyone else
-// spins on the phase word. No per-thread sense state is needed, so the same
-// barrier value can be shared by value-agnostic callers, and it is reusable
-// immediately.
+// barrier is a ticket barrier: count is never reset, so episode e's arrivals
+// draw tickets e·n+1 … (e+1)·n. Each reads release (episodes done) first and
+// sees e, which cannot advance before its ticket is drawn. Ticket (e+1)·n
+// publishes e+1 with one store; the rest spin on release. Progress: blocking.
 type barrier struct {
-	n     int64
-	count atomic.Int64
+	n     uint64
+	count atomic.Uint64
 	// Arrivals hammer count with fetch-and-add while earlier arrivals spin
-	// on phase; keeping the two words on separate cache lines stops each
+	// on release; keeping the two words on separate cache lines stops each
 	// arrival from stealing the line out from under every spinner.
-	_     [48]byte
-	phase atomic.Uint64
+	_       [48]byte
+	release atomic.Uint64
 }
 
 //sync4:zeroalloc
 func (b *barrier) Wait() {
-	phase := b.phase.Load()
-	if b.count.Add(1) == b.n {
-		b.count.Store(0)
-		b.phase.Add(1)
+	e := b.release.Load()
+	if b.count.Add(1) == (e+1)*b.n {
+		b.release.Store(e + 1)
 		return
 	}
-	spins := 0
-	for b.phase.Load() == phase {
+	for spins := 0; b.release.Load() == e; {
 		pause(&spins)
 	}
 }
 
-// spinLock is a test-and-test-and-set lock with scheduler-friendly backoff.
-// Splash-4 keeps a handful of irreducible critical sections; on real
-// hardware those use pthread spinlocks, and this is the Go equivalent.
+// spinLock is a test-and-test-and-set lock with scheduler-friendly backoff,
+// the Go equivalent of the pthread spinlocks Splash-4 keeps for its few
+// irreducible critical sections. Lock tries one CAS, as sync.Mutex does,
+// before its load-then-CAS loop. Progress: blocking.
 type spinLock struct {
 	state atomic.Int32
 }
 
 //sync4:zeroalloc
 func (l *spinLock) Lock() {
-	spins := 0
-	for {
-		if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
-			return
-		}
+	if l.state.CompareAndSwap(0, 1) {
+		return
+	}
+	for spins := 0; l.state.Load() != 0 || !l.state.CompareAndSwap(0, 1); {
 		pause(&spins)
 	}
 }
@@ -139,6 +135,7 @@ func (l *spinLock) Unlock() {
 	}
 }
 
+// counter is a fetch-and-add word. Progress: wait-free.
 type counter struct {
 	v atomic.Int64
 }
@@ -156,6 +153,7 @@ func (c *counter) Load() int64 { return c.v.Load() }
 func (c *counter) Store(v int64) { c.v.Store(v) }
 
 // accumulator adds float64 values with a CAS loop on the bit pattern.
+// Progress: lock-free.
 type accumulator struct {
 	bits atomic.Uint64
 }
@@ -179,7 +177,7 @@ func (a *accumulator) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 
 // minmax tracks min and max in two CAS'd words. The loops terminate early
 // when the stored value is already at least as extreme, so uncontended
-// reads of a stable extreme cost one load.
+// reads of a stable extreme cost one load. Progress: lock-free.
 type minmax struct {
 	minBits atomic.Uint64
 	// The two extremes are CAS'd by disjoint retry loops — an update racing
@@ -222,7 +220,7 @@ func (m *minmax) Reset() {
 	m.maxBits.Store(math.Float64bits(math.Inf(-1)))
 }
 
-// flag is an atomic boolean with spin-then-yield waiting.
+// flag is an atomic boolean with spin-then-yield waiting. Progress: blocking.
 type flag struct {
 	set atomic.Bool
 }
@@ -244,7 +242,8 @@ func (f *flag) IsSet() bool { return f.set.Load() }
 // queue is Vyukov's bounded MPMC ring buffer: each slot carries a sequence
 // number that encodes whether it is ready to be written (seq == pos) or read
 // (seq == pos+1), which lets producers and consumers claim slots with a
-// single CAS each and without blocking one another.
+// single CAS each. Progress: not lock-free — a producer stalled between its
+// enq CAS and seq.Store makes consumers read "empty" though later slots are full.
 type queue struct {
 	mask uint64
 	buf  []slot
@@ -344,23 +343,31 @@ func (q *queue) Len() int {
 
 // stack is a Treiber stack. Go's garbage collector rules out the ABA hazard:
 // a node cannot be recycled while any thread still holds a pointer to it.
+// Each node records its depth and is immutable once published, so Len reads
+// the top node instead of a shared count. Progress: lock-free.
 type stack struct {
 	top atomic.Pointer[node]
-	n   atomic.Int64
 }
 
 type node struct {
-	val  int64
-	next *node
+	val   int64
+	depth int
+	next  *node
+}
+
+func (n *node) len() int {
+	if n == nil {
+		return 0
+	}
+	return n.depth
 }
 
 func (s *stack) Push(v int64) {
 	n := &node{val: v}
 	for {
 		old := s.top.Load()
-		n.next = old
+		n.next, n.depth = old, old.len()+1
 		if s.top.CompareAndSwap(old, n) {
-			s.n.Add(1)
 			return
 		}
 	}
@@ -374,17 +381,10 @@ func (s *stack) TryPop() (int64, bool) {
 			return 0, false
 		}
 		if s.top.CompareAndSwap(old, old.next) {
-			s.n.Add(-1)
 			return old.val, true
 		}
 	}
 }
 
 //sync4:zeroalloc
-func (s *stack) Len() int {
-	n := s.n.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
-}
+func (s *stack) Len() int { return s.top.Load().len() }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"repro/internal/results"
@@ -190,4 +192,122 @@ func BlockedTable(c *Capture, label string) *results.Table {
 		addRow("total", bs.Total)
 	}
 	return t
+}
+
+// WaitSplit decomposes blocked time into what the program causes and what
+// the construct costs. All values are nanoseconds, one per event, in no
+// particular order.
+type WaitSplit struct {
+	// Imbalance and Release split each barrier wait at its episode's last
+	// arrival: Imbalance runs from the wait's Start to that arrival (no
+	// barrier can shorten it), Release from there to the wait's End (the
+	// construct). The two sum to the wait's duration exactly.
+	Imbalance, Release []int64
+	// EarlyDepartures counts barrier waits that ended before their
+	// episode's last arrival — a broken barrier, or a capture whose lanes
+	// are not one thread each. Their Release is negative.
+	EarlyDepartures int
+	// Hold runs from a lock acquire's End to the same lane's next release
+	// of that lock; Handoff from another lane's release Start to the End of
+	// an acquire that was waiting for it.
+	Hold, Handoff []int64
+	// Wake runs from a flag's first Set to the End of each wait on it that
+	// began before that Set.
+	Wake []int64
+}
+
+// Waits splits every barrier wait, lock acquire and flag wait of c. The
+// k-th wait on a barrier object in each lane belongs to episode k, as in
+// Phases; an episode some lane did not record takes its last arrival from
+// the lanes that did.
+func Waits(c *Capture) WaitSplit {
+	var w WaitSplit
+	type laneEvent struct {
+		lane int
+		ev   Event
+	}
+	barriers := map[uint32][][]Event{} // object -> lane -> its waits in order
+	locks := map[uint32][]laneEvent{}
+	flagSet := map[uint32]int64{}
+	var flagWaits []Event
+	for li, lane := range c.Lanes {
+		for _, ev := range lane {
+			switch ev.Op {
+			case OpBarrierWait:
+				perLane := barriers[ev.Obj]
+				if perLane == nil {
+					perLane = make([][]Event, len(c.Lanes))
+					barriers[ev.Obj] = perLane
+				}
+				perLane[li] = append(perLane[li], ev)
+			case OpLockAcquire, OpLockRelease:
+				locks[ev.Obj] = append(locks[ev.Obj], laneEvent{li, ev})
+			case OpFlagSet:
+				if s, ok := flagSet[ev.Obj]; !ok || ev.Start < s {
+					flagSet[ev.Obj] = ev.Start
+				}
+			case OpFlagWait:
+				flagWaits = append(flagWaits, ev)
+			}
+		}
+	}
+
+	for _, perLane := range barriers {
+		for k := 0; ; k++ {
+			last, seen := int64(math.MinInt64), false
+			for _, evs := range perLane {
+				if k < len(evs) {
+					last, seen = max(last, evs[k].Start), true
+				}
+			}
+			if !seen {
+				break
+			}
+			for _, evs := range perLane {
+				if k < len(evs) {
+					w.Imbalance = append(w.Imbalance, last-evs[k].Start)
+					w.Release = append(w.Release, evs[k].End-last)
+					if evs[k].End < last {
+						w.EarlyDepartures++
+					}
+				}
+			}
+		}
+	}
+
+	for _, evs := range locks {
+		// Lanes record in time order, so each lane's acquire precedes its
+		// release; releases sorted by Start find each acquire's hand-over.
+		var rels []laneEvent
+		held := map[int]int64{} // lane -> End of its open acquire
+		for _, le := range evs {
+			if le.ev.Op == OpLockRelease {
+				rels = append(rels, le)
+				if end, ok := held[le.lane]; ok {
+					w.Hold = append(w.Hold, le.ev.Start-end)
+					delete(held, le.lane)
+				}
+			} else {
+				held[le.lane] = le.ev.End
+			}
+		}
+		sort.Slice(rels, func(i, j int) bool { return rels[i].ev.Start < rels[j].ev.Start })
+		for _, le := range evs {
+			if le.ev.Op != OpLockAcquire {
+				continue
+			}
+			// The last release that starts no later than this acquire ends.
+			i := sort.Search(len(rels), func(i int) bool { return rels[i].ev.Start > le.ev.End }) - 1
+			if i >= 0 && rels[i].lane != le.lane && rels[i].ev.Start > le.ev.Start {
+				w.Handoff = append(w.Handoff, le.ev.End-rels[i].ev.Start)
+			}
+		}
+	}
+
+	for _, ev := range flagWaits {
+		if set, ok := flagSet[ev.Obj]; ok && ev.Start < set {
+			w.Wake = append(w.Wake, ev.End-set)
+		}
+	}
+	return w
 }

@@ -6,11 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/sync4"
+	"repro/internal/sync4/classic"
 	"repro/internal/sync4/kittest"
+	"repro/internal/sync4/lockfree"
 	"repro/internal/trace"
 )
 
@@ -353,6 +358,160 @@ func TestBlocked(t *testing.T) {
 	}
 	if _, ok := bs.ByOp[trace.OpLockRelease]; ok {
 		t.Fatalf("non-blocking op grew a histogram")
+	}
+}
+
+// checkWaitSum holds Waits to its invariant: imbalance plus release is the
+// capture's barrier blocked time, to the nanosecond.
+func checkWaitSum(t *testing.T, c *trace.Capture) trace.WaitSplit {
+	t.Helper()
+	w := trace.Waits(c)
+	var split int64
+	for i := range w.Imbalance {
+		split += w.Imbalance[i] + w.Release[i]
+	}
+	var blocked int64
+	if h := trace.Blocked(c).ByOp[trace.OpBarrierWait]; h != nil {
+		blocked = h.Sum()
+	}
+	if len(w.Imbalance) != len(w.Release) || split != blocked {
+		t.Fatalf("imbalance+release = %d ns over %d/%d waits, barrier blocked time = %d ns",
+			split, len(w.Imbalance), len(w.Release), blocked)
+	}
+	return w
+}
+
+func sorted(xs []int64) []int64 {
+	xs = append([]int64(nil), xs...)
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	return xs
+}
+
+func TestWaits(t *testing.T) {
+	ev := func(start, end int64, obj uint32, op trace.Op) trace.Event {
+		return trace.Event{Start: start, End: end, Obj: obj, Op: op}
+	}
+	cases := []struct {
+		name                string
+		lanes               [][]trace.Event
+		imbalance, release  []int64
+		early               int
+		hold, handoff, wake []int64
+	}{{
+		// Episode 0's last arrival is lane 0 at 200, episode 1's at 2000;
+		// lane 1 holds the lock for 10 ns, uncontended.
+		name:      "synthetic",
+		lanes:     syntheticCapture().Lanes,
+		imbalance: []int64{0, 50, 0, 300},
+		release:   []int64{800, 800, 1000, 1000},
+		hold:      []int64{10},
+	}, {
+		// Lane 1 leaves episode 0 at 180, before lane 0 arrives at 200.
+		name: "early departure",
+		lanes: [][]trace.Event{
+			{ev(200, 300, 0, trace.OpBarrierWait), ev(400, 500, 0, trace.OpBarrierWait)},
+			{ev(100, 180, 0, trace.OpBarrierWait), ev(450, 500, 0, trace.OpBarrierWait)},
+		},
+		imbalance: []int64{0, 100, 50, 0},
+		release:   []int64{100, -20, 50, 50},
+		early:     1,
+	}, {
+		// Two barrier objects interleave; lane 2 never recorded episode 1.
+		name: "objects and a missing lane",
+		lanes: [][]trace.Event{
+			{ev(0, 100, 0, trace.OpBarrierWait), ev(110, 200, 1, trace.OpBarrierWait), ev(210, 300, 0, trace.OpBarrierWait)},
+			{ev(90, 100, 0, trace.OpBarrierWait), ev(190, 200, 1, trace.OpBarrierWait), ev(290, 300, 0, trace.OpBarrierWait)},
+			{ev(50, 100, 0, trace.OpBarrierWait)},
+		},
+		imbalance: []int64{90, 0, 40, 80, 0, 80, 0},
+		release:   []int64{10, 10, 10, 10, 10, 10, 10},
+	}, {
+		// Lane 0 holds [10, 50); lane 1 waits from 20 and gets the lock 20 ns
+		// after lane 0 starts to release it; lane 2 finds it free.
+		name: "lock handoff",
+		lanes: [][]trace.Event{
+			{ev(0, 10, 0, trace.OpLockAcquire), ev(50, 55, 0, trace.OpLockRelease)},
+			{ev(20, 70, 0, trace.OpLockAcquire), ev(80, 85, 0, trace.OpLockRelease)},
+			{ev(90, 95, 0, trace.OpLockAcquire), ev(95, 96, 0, trace.OpLockRelease)},
+		},
+		hold:    []int64{0, 10, 40},
+		handoff: []int64{20},
+	}, {
+		// The first Set starts at 100; a wait that began after it is not a
+		// wake, and a later Set moves nothing.
+		name: "flag wake",
+		lanes: [][]trace.Event{
+			{ev(100, 105, 0, trace.OpFlagSet), ev(300, 305, 0, trace.OpFlagSet)},
+			{ev(50, 130, 0, trace.OpFlagWait), ev(200, 201, 0, trace.OpFlagWait)},
+			{ev(0, 160, 0, trace.OpFlagWait)},
+		},
+		wake: []int64{30, 60},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &trace.Capture{Lanes: tc.lanes, Dropped: make([]int64, len(tc.lanes))}
+			w := checkWaitSum(t, c)
+			for _, f := range []struct {
+				name      string
+				got, want []int64
+			}{
+				{"imbalance", w.Imbalance, tc.imbalance},
+				{"release", w.Release, tc.release},
+				{"hold", w.Hold, tc.hold},
+				{"handoff", w.Handoff, tc.handoff},
+				{"wake", w.Wake, tc.wake},
+			} {
+				if f.want == nil {
+					continue
+				}
+				if got := sorted(f.got); !slices.Equal(got, sorted(f.want)) {
+					t.Errorf("%s = %v, want %v", f.name, got, sorted(f.want))
+				}
+			}
+			if w.EarlyDepartures != tc.early {
+				t.Errorf("EarlyDepartures = %d, want %d", w.EarlyDepartures, tc.early)
+			}
+		})
+	}
+}
+
+// TestWaitsOnRecordedRuns splits real captures of both kits: pinned workers
+// cross a barrier and take a lock. The split must sum exactly, and no lane
+// may leave an episode before its last arrival.
+func TestWaitsOnRecordedRuns(t *testing.T) {
+	const workers, episodes = 2, 200
+	for _, kit := range []sync4.Kit{classic.New(), lockfree.New()} {
+		t.Run(kit.Name(), func(t *testing.T) {
+			r := trace.NewRecorder(workers, 4*episodes)
+			tk := sync4.Trace(kit, r)
+			b, l := tk.NewBarrier(workers), tk.NewLock()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer trace.PinWorker(w)()
+					for e := 0; e < episodes; e++ {
+						b.Wait()
+						l.Lock()
+						l.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			c := r.Snapshot()
+			if c.TotalDropped() != 0 || len(c.Lanes) != workers {
+				t.Fatalf("capture: %d lanes, %d dropped", len(c.Lanes), c.TotalDropped())
+			}
+			w := checkWaitSum(t, c)
+			if len(w.Release) != workers*episodes || w.EarlyDepartures != 0 {
+				t.Fatalf("%d barrier waits split, %d early departures; want %d and 0",
+					len(w.Release), w.EarlyDepartures, workers*episodes)
+			}
+			if len(w.Hold) != workers*episodes {
+				t.Fatalf("%d lock holds, want %d", len(w.Hold), workers*episodes)
+			}
+		})
 	}
 }
 
