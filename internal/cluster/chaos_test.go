@@ -16,8 +16,8 @@ import (
 
 // TestRunChaosFullSchedule is the partition-tolerance gate. It boots the
 // 3-node fixture with every peer exchange behind a netfaulty transport
-// under the pinned faultSeed and drives the machinery through its designed
-// failure modes in order:
+// and drives the machinery through its designed failure modes in order,
+// each a directed rule installed and healed at a phase boundary:
 //
 //	A. Baseline: routed submissions complete, journals replicate, and
 //	   /compare answers byte-identically from all three nodes.
@@ -37,9 +37,9 @@ import (
 //	   generation's census and the final three-way /compare diverges.
 //
 // The run ends with a convergence proof: every accepted job done, every
-// replica byte-caught-up, and a three-way byte-identical /compare. A
-// failure logs the seed and each node's netfaulty decision log, so it
-// replays.
+// replica byte-caught-up, and a three-way byte-identical /compare. The
+// schedule is exact rather than statistical, so a failure replays by
+// running the test again; it logs each node's netfaulty decision log.
 //
 //sync4:covers SYNC4-CLUS-003
 //sync4:covers SYNC4-CLUS-004
@@ -50,13 +50,10 @@ func TestRunChaosFullSchedule(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	faults := make(map[string]*netfaulty.Transport, len(ids))
 	nodes := startTestCluster(t, ids, func(id string, scfg *server.Config, ccfg *Config) {
-		// A zero-probability plan: the schedule is directed rules installed
-		// at phase boundaries, so it is exact rather than statistical, while
-		// every exchange still flows through the fault layer and onto its
+		// Every exchange flows through the fault layer and onto its
 		// decision log. A restarted node re-enters here and gets a fresh
-		// transport under its original seed.
-		faults[id] = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout),
-			netfaulty.Plan{Seed: faultSeed + uint64(id[0]-'a'), Record: 512})
+		// transport with no rules installed.
+		faults[id] = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout))
 		ccfg.Transport = faults[id]
 		ccfg.BreakerCooldown = 250 * time.Millisecond
 		ccfg.RetryBaseDelay = 5 * time.Millisecond
@@ -78,7 +75,7 @@ func TestRunChaosFullSchedule(t *testing.T) {
 		if !t.Failed() {
 			return
 		}
-		t.Logf("chaos schedule failed under seed %d; injected faults per node as peer/endpoint#seq:", faultSeed)
+		t.Logf("chaos schedule failed; directed faults injected per node as peer/endpoint#seq:")
 		for _, id := range ids {
 			var log strings.Builder
 			for _, d := range faults[id].Report().Decisions {

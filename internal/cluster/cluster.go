@@ -72,7 +72,8 @@ type Config struct {
 	// which runs under the job budget). Default 10s.
 	HTTPTimeout time.Duration
 	// Transport performs peer exchanges. Nil takes the production HTTP
-	// transport; tests substitute a netfaulty-decorated one.
+	// transport; tests substitute one that netfaulty's directed
+	// partition and latency rules decorate.
 	Transport peernet.PeerTransport
 	// BreakerCooldown is how long an open breaker refuses exchanges before
 	// admitting a half-open trial. Default 2s.

@@ -9,17 +9,12 @@ import (
 	"repro/internal/server"
 )
 
-// faultSeed pins the netfaulty schedule these tests and the chaos schedule
-// (TestRunChaosFullSchedule) run under.
-const faultSeed = 42
-
 // wedgeVictim configures node "a" as the canonical stealing victim: one
 // worker wedged behind a's gate so the second submission queues and is the
 // only stealable job, with a's own stealer off. Node "b" (the thief) runs
 // its stolen work behind b's gate so tests control exactly when the
-// completion POST happens, under a netfaulty transport with the pinned
-// seed and zero probabilities — every fault in these tests is a directed
-// rule, so the schedule is exact, not statistical.
+// completion POST happens, under a netfaulty transport — every fault in
+// these tests is a directed rule, so the schedule is exact.
 func wedgeVictim(t *testing.T) (nodes map[string]*testNode, bFaults *netfaulty.Transport) {
 	t.Helper()
 	nodes = startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
@@ -28,8 +23,7 @@ func wedgeVictim(t *testing.T) (nodes map[string]*testNode, bFaults *netfaulty.T
 			scfg.Workers = 1
 			ccfg.StealInterval = time.Hour // a never steals; b is the only thief
 		case "b":
-			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout),
-				netfaulty.Plan{Seed: faultSeed, Record: 64})
+			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout))
 			ccfg.Transport = bFaults
 			ccfg.RetryBaseDelay = time.Millisecond // keep budgeted retries fast
 		}
@@ -152,7 +146,7 @@ func TestFailedCompletionReprobesBeforeResend(t *testing.T) {
 	a.gate.release()
 	finishAll(t, nodes, ids)
 
-	// The partition injections are on the decision log, seeded and replayable.
+	// The partition injections are counted on the decision log.
 	rep := bFaults.Report()
 	if rep.Injected[netfaulty.FaultPartition] < 2 {
 		t.Fatalf("decision log counts %d partition drops, want both completion attempts", rep.Injected[netfaulty.FaultPartition])

@@ -2,6 +2,7 @@ package netfaulty
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -10,15 +11,18 @@ import (
 	"repro/internal/cluster/peernet"
 )
 
-// okTransport answers every exchange with a fixed 200 body and counts how
-// many exchanges reached it — the "wire" under the fault layer.
+// okTransport answers every exchange with a fixed 200 body, counts how
+// many exchanges reached it — the "wire" under the fault layer — and
+// notes when the last one did.
 type okTransport struct {
 	hits int
+	at   time.Time
 	body string
 }
 
 func (o *okTransport) RoundTrip(_ context.Context, _ *peernet.PeerCall) (*peernet.PeerResponse, error) {
 	o.hits++
+	o.at = time.Now()
 	return &peernet.PeerResponse{
 		Status: 200,
 		Header: make(map[string][]string),
@@ -31,84 +35,28 @@ func healthCall(peer string) *peernet.PeerCall {
 		Method: "GET", URL: "http://" + peer + "/peer/health"}
 }
 
-// drive performs n exchanges and returns each one's (error, body) outcome
-// as a compact trace string.
-func drive(t *testing.T, ft *Transport, call *peernet.PeerCall, n int) []string {
-	t.Helper()
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		resp, err := ft.RoundTrip(context.Background(), call)
-		if err != nil {
-			out = append(out, "err:"+errClass(err))
-			continue
-		}
-		b, rerr := io.ReadAll(resp.Body)
+func journalCall(peer string) *peernet.PeerCall {
+	return &peernet.PeerCall{Peer: peer, Endpoint: peernet.EndpointJournal,
+		Method: "GET", URL: "http://" + peer + "/peer/journal"}
+}
+
+// roundTrip performs one exchange under timeout and closes its body.
+func roundTrip(ft *Transport, call *peernet.PeerCall, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	resp, err := ft.RoundTrip(ctx, call)
+	if err == nil {
 		resp.Body.Close()
-		if rerr != nil {
-			out = append(out, "cut")
-			continue
-		}
-		out = append(out, "ok:"+string(b))
 	}
-	return out
-}
-
-func errClass(err error) string {
-	if strings.Contains(err.Error(), "refused") {
-		return "refused"
-	}
-	return "other"
-}
-
-// TestScheduleIsDeterministic drives two transports with the same seed over
-// the same exchange sequence and asserts byte-identical outcomes and
-// decision logs, then that a different seed actually draws differently.
-func TestScheduleIsDeterministic(t *testing.T) {
-	plan := Aggressive(42)
-	plan.LatencyMax = time.Millisecond // keep the test fast
-	run := func(seed uint64) ([]string, Report) {
-		p := plan
-		p.Seed = seed
-		ft := New(&okTransport{body: `{"ready":true}`}, p)
-		var trace []string
-		for _, peer := range []string{"a", "b"} {
-			trace = append(trace, drive(t, ft, healthCall(peer), 200)...)
-		}
-		return trace, ft.Report()
-	}
-
-	t1, r1 := run(42)
-	t2, r2 := run(42)
-	if strings.Join(t1, ",") != strings.Join(t2, ",") {
-		t.Fatal("same seed produced different exchange outcomes")
-	}
-	if r1.Injected != r2.Injected {
-		t.Fatalf("same seed injected differently: %v vs %v", r1.Injected, r2.Injected)
-	}
-	if len(r1.Decisions) != len(r2.Decisions) {
-		t.Fatalf("same seed recorded %d vs %d decisions", len(r1.Decisions), len(r2.Decisions))
-	}
-	for i := range r1.Decisions {
-		if r1.Decisions[i] != r2.Decisions[i] {
-			t.Fatalf("decision %d differs: %+v vs %+v", i, r1.Decisions[i], r2.Decisions[i])
-		}
-	}
-	if r1.Total() == 0 {
-		t.Fatal("aggressive plan injected nothing over 400 exchanges")
-	}
-
-	t3, _ := run(43)
-	if strings.Join(t1, ",") == strings.Join(t3, ",") {
-		t.Fatal("different seeds produced identical outcomes")
-	}
+	return err
 }
 
 // TestDirectedPartitionBeatsDice asserts a Partition rule refuses every
-// exchange to the target regardless of probabilities, that it is directed
-// (other peers unaffected), endpoint-scopable, and that Heal restores flow.
+// exchange to the target, that it is directed (other peers unaffected),
+// endpoint-scopable, and that Heal restores flow.
 func TestDirectedPartitionBeatsDice(t *testing.T) {
 	inner := &okTransport{body: "x"}
-	ft := New(inner, Plan{Seed: 7, Record: 16}) // zero probabilities: directed rules only
+	ft := New(inner)
 
 	ft.Partition("b")
 	for i := 0; i < 5; i++ {
@@ -134,9 +82,7 @@ func TestDirectedPartitionBeatsDice(t *testing.T) {
 
 	// Endpoint-scoped partition: journal refused, health flows.
 	ft.Partition("b", peernet.EndpointJournal)
-	if _, err := ft.RoundTrip(context.Background(), &peernet.PeerCall{
-		Peer: "b", Endpoint: peernet.EndpointJournal, Method: "GET", URL: "http://b/peer/journal",
-	}); err == nil {
+	if _, err := ft.RoundTrip(context.Background(), journalCall("b")); err == nil {
 		t.Fatal("endpoint-scoped partition did not refuse the journal fetch")
 	}
 	resp, err = ft.RoundTrip(context.Background(), healthCall("b"))
@@ -154,63 +100,63 @@ func TestDirectedPartitionBeatsDice(t *testing.T) {
 	}
 }
 
-// TestStaleReplayOnlyOnTolerantEndpoints asserts the stale fault replays a
-// previous health response verbatim but never touches journal streams,
-// whose byte-offset protocol cannot tolerate replays.
-func TestStaleReplayOnlyOnTolerantEndpoints(t *testing.T) {
-	inner := &okTransport{body: "first"}
-	ft := New(inner, Plan{Seed: 1, Stale: 1.0, Record: 16}) // always stale once possible
+// TestSetLatencyHoldsBeforeTheWire asserts a SetLatency rule holds each
+// matching exchange for its duration before the inner transport sees it,
+// that a context cancelled mid-hold ends the exchange short of the wire,
+// that the rule is directed and endpoint-scopable, that d <= 0 and Heal
+// each remove it, and that every hold is counted.
+func TestSetLatencyHoldsBeforeTheWire(t *testing.T) {
+	const hold = 30 * time.Millisecond
+	// long is never waited out: an exchange under it ends by its context.
+	// An exchange that must not be held gets long/2, so a leaked rule
+	// fails it instead of passing late.
+	const long = time.Second
+	const cancelAfter = 20 * time.Millisecond
+	inner := &okTransport{body: "x"}
+	ft := New(inner)
 
-	// First exchange has nothing to replay: it reaches the wire and its
-	// response is recorded on consumption.
-	out := drive(t, ft, healthCall("b"), 1)
-	if out[0] != "ok:first" {
-		t.Fatalf("first exchange got %q", out[0])
+	ft.SetLatency("b", hold)
+	start := time.Now()
+	if err := roundTrip(ft, healthCall("b"), long); err != nil {
+		t.Fatalf("held exchange failed: %v", err)
 	}
-	// Every subsequent health exchange replays the stored body.
-	inner.body = "second"
-	out = drive(t, ft, healthCall("b"), 3)
-	for _, o := range out {
-		if o != "ok:first" {
-			t.Fatalf("stale replay got %q, want the recorded first response", o)
-		}
+	if inner.hits != 1 || inner.at.Sub(start) < hold {
+		t.Fatalf("exchange reached the wire %v after it began, before the %v hold ended", inner.at.Sub(start), hold)
+	}
+
+	ft.SetLatency("b", long) // replaces the peer-wide rule
+	if err := roundTrip(ft, healthCall("b"), cancelAfter); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("exchange cancelled mid-hold returned %v, want the context's error", err)
 	}
 	if inner.hits != 1 {
-		t.Fatalf("%d exchanges reached the wire under Stale=1, want 1", inner.hits)
+		t.Fatal("exchange cancelled mid-hold reached the wire")
+	}
+	if err := roundTrip(ft, healthCall("c"), long/2); err != nil {
+		t.Fatalf("latency toward b held the exchange with c: %v", err)
+	}
+	ft.Heal("b")
+	if err := roundTrip(ft, healthCall("b"), long/2); err != nil {
+		t.Fatalf("exchange after heal was still held: %v", err)
 	}
 
-	// Journal fetches are exempt: all reach the wire.
-	jc := &peernet.PeerCall{Peer: "b", Endpoint: peernet.EndpointJournal,
-		Method: "GET", URL: "http://b/peer/journal"}
-	drive(t, ft, jc, 3)
-	if inner.hits != 4 {
-		t.Fatalf("journal exchanges under Stale=1: %d wire hits, want 4", inner.hits)
+	// Endpoint-scoped latency: journal held, health flows.
+	ft.SetLatency("b", long, peernet.EndpointJournal)
+	if err := roundTrip(ft, journalCall("b"), cancelAfter); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("endpoint-scoped latency did not hold the journal fetch: %v", err)
 	}
-	if got := ft.Report().Injected[FaultStale]; got != 3 {
-		t.Fatalf("counted %d stale injections, want 3", got)
+	if err := roundTrip(ft, healthCall("b"), long/2); err != nil {
+		t.Fatalf("endpoint-scoped latency leaked onto health: %v", err)
 	}
-}
+	ft.SetLatency("b", 0, peernet.EndpointJournal)
+	if err := roundTrip(ft, journalCall("b"), long/2); err != nil {
+		t.Fatalf("journal fetch still held after SetLatency(0): %v", err)
+	}
 
-// TestCutTruncatesMidBody asserts a cut response yields a read error after
-// the decided byte count, like a torn TCP stream.
-func TestCutTruncatesMidBody(t *testing.T) {
-	body := strings.Repeat("z", 512)
-	ft := New(&okTransport{body: body}, Plan{Seed: 3, Cut: 1.0})
-	jc := &peernet.PeerCall{Peer: "b", Endpoint: peernet.EndpointJournal,
-		Method: "GET", URL: "http://b/peer/journal"}
-	resp, err := ft.RoundTrip(context.Background(), jc)
-	if err != nil {
-		t.Fatalf("cut exchange failed at dial: %v", err)
+	r := ft.Report()
+	if r.Injected[FaultLatency] != 3 || r.Injected[FaultPartition] != 0 {
+		t.Fatalf("counted %v injections, want 3 latency holds and nothing else", r.Injected)
 	}
-	defer resp.Body.Close()
-	got, rerr := io.ReadAll(resp.Body)
-	if rerr == nil {
-		t.Fatal("cut body read to EOF without error")
-	}
-	if len(got) >= len(body) {
-		t.Fatalf("cut body delivered all %d bytes", len(got))
-	}
-	if got := ft.Report().Injected[FaultCut]; got != 1 {
-		t.Fatalf("counted %d cut injections, want 1", got)
+	if r.Ops != 7 || len(r.Decisions) != 3 {
+		t.Fatalf("report %+v: want 7 exchanges and 3 recorded decisions", r)
 	}
 }

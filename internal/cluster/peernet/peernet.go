@@ -2,9 +2,9 @@
 // byte a node exchanges with a peer — health probes, steal round trips,
 // completion callbacks, journal tails, forwarded client requests — crosses
 // one PeerTransport.RoundTrip call. The seam exists so the transport can
-// be decorated: cluster/netfaulty wraps any PeerTransport in seeded,
-// deterministic network faults (latency, refusal, mid-body cuts, stale
-// replays, directed partitions), and internal/cluster layers per-peer
+// be decorated: cluster/netfaulty wraps any PeerTransport in directed
+// network faults (partitions and held exchanges that a test schedule
+// installs and heals), and internal/cluster layers per-peer
 // circuit breakers and retry budgets on top of whichever transport it is
 // given. HTTPTransport is the production implementation.
 package peernet

@@ -264,7 +264,7 @@ func TestShipResumesOnHealWithoutRepairPass(t *testing.T) {
 	nodes := startTestCluster(t, []string{"a", "b"}, func(id string, scfg *server.Config, ccfg *Config) {
 		ccfg.ShipInterval = time.Hour
 		if id == "b" {
-			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout), netfaulty.Plan{Seed: faultSeed})
+			bFaults = netfaulty.New(peernet.NewHTTPTransport(ccfg.HTTPTimeout))
 			ccfg.Transport = bFaults
 		}
 	})

@@ -22,7 +22,7 @@ func Next(state *uint64) uint64 {
 	return z
 }
 
-// Roll is the fault injectors' coin: the uniform draw in [0, 1) for the
+// Roll is sync4/faulty's coin: the uniform draw in [0, 1) for the
 // n-th event on site under the schedule seed. Each fault class gets its own
 // stream (the class is offset into the site's top byte), so a site that
 // consults two classes draws independently for each. Roll is stateless, so

@@ -86,8 +86,6 @@ type Plan struct {
 	// Delay is the probability of a scheduling perturbation (yields plus
 	// a short busy spin) at any operation boundary.
 	Delay float64
-	// DelaySpins is the busy-spin length of one delay. Defaults to 64.
-	DelaySpins int
 	// SleepEvery turns every n-th injected delay into a real 50µs sleep,
 	// long enough to force goroutine rescheduling. 0 never sleeps.
 	SleepEvery int
@@ -102,9 +100,6 @@ type Plan struct {
 	// fails. Consecutive spurious failures per site are capped at
 	// FlapBurst, so bounded retry always makes progress.
 	Flap float64
-	// FlapBurst caps consecutive spurious Try* failures per site.
-	// Defaults to 3.
-	FlapBurst int
 	// Record keeps the first Record injection decisions for post-mortem
 	// reproduction. 0 records nothing.
 	Record int
@@ -121,22 +116,15 @@ func Mild(seed int64) Plan {
 // it.
 func Aggressive(seed int64) Plan {
 	return Plan{Seed: seed, Delay: 0.1, SleepEvery: 32, Straggler: 0.25,
-		SpuriousWake: 0.5, Flap: 0.3, FlapBurst: 3}
+		SpuriousWake: 0.5, Flap: 0.3}
 }
 
-func (p Plan) delaySpins() int {
-	if p.DelaySpins <= 0 {
-		return 64
-	}
-	return p.DelaySpins
-}
+// FlapBurst caps consecutive spurious Try* failures per site, so
+// FlapBurst+1 attempts always reach the real construct.
+const FlapBurst = 3
 
-func (p Plan) flapBurst() int {
-	if p.FlapBurst <= 0 {
-		return 3
-	}
-	return p.FlapBurst
-}
+// delaySpins is the busy-spin length of one delay.
+const delaySpins = 64
 
 // Decision is one recorded injection: the Seq-th operation on Site drew
 // fault class Fault.
@@ -225,7 +213,7 @@ func (inj *Injector) dawdle(scale int) {
 		time.Sleep(50 * time.Microsecond)
 		return
 	}
-	spins := inj.plan.delaySpins() * scale
+	spins := delaySpins * scale
 	for i := 0; i < spins; i++ {
 		if i%16 == 0 {
 			runtime.Gosched()
@@ -248,7 +236,7 @@ func (inj *Injector) flap(site uint64, n int64, op string, streak *atomic.Int32)
 	if inj.plan.Flap <= 0 {
 		return false
 	}
-	if int(streak.Load()) >= inj.plan.flapBurst() {
+	if streak.Load() >= FlapBurst {
 		streak.Store(0)
 		return false
 	}

@@ -97,25 +97,24 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 // capped at FlapBurst, so FlapBurst+1 retries always reach the real
 // construct — the contract the kittest fault schedules rely on.
 func TestFlapBurstBounded(t *testing.T) {
-	plan := Plan{Seed: 3, Flap: 1.0, FlapBurst: 3} // always flap, capped
-	inj := New(plan)
+	inj := New(Plan{Seed: 3, Flap: 1.0}) // always flap, capped
 	kit := inj.Wrap(lockfree.New())
 	q := kit.NewQueue(64)
 	for i := 0; i < 50; i++ {
 		ok := false
-		for try := 0; try <= plan.flapBurst(); try++ {
+		for try := 0; try <= FlapBurst; try++ {
 			if q.TryPut(int64(i)) {
 				ok = true
 				break
 			}
 		}
 		if !ok {
-			t.Fatalf("element %d: TryPut failed %d consecutive times on a non-full queue", i, plan.flapBurst()+1)
+			t.Fatalf("element %d: TryPut failed %d consecutive times on a non-full queue", i, FlapBurst+1)
 		}
 	}
 	for i := 0; i < 50; i++ {
 		ok := false
-		for try := 0; try <= plan.flapBurst(); try++ {
+		for try := 0; try <= FlapBurst; try++ {
 			if v, got := q.TryGet(); got {
 				if v != int64(i) {
 					t.Fatalf("FIFO violated under flap: got %d want %d", v, i)
@@ -125,7 +124,7 @@ func TestFlapBurstBounded(t *testing.T) {
 			}
 		}
 		if !ok {
-			t.Fatalf("element %d: TryGet failed %d consecutive times on a non-empty queue", i, plan.flapBurst()+1)
+			t.Fatalf("element %d: TryGet failed %d consecutive times on a non-empty queue", i, FlapBurst+1)
 		}
 	}
 }

@@ -121,10 +121,9 @@ func tryGetBounded(q sync4.Queue, tries int) (int64, bool) {
 //
 //sync4:req SYNC4-FAULT-004 v1 MUST A capacity-1 queue under bounded Try-operation flapping still reports truly-full after finitely many accepts, hands back every accepted element in order, and reports truly-empty after the drain.
 func testQueueFlapCapacityFloor(t *testing.T, kit sync4.Kit, seed int64) {
-	plan := faulty.Aggressive(seed)
-	inj := faulty.New(plan)
+	inj := faulty.New(faulty.Aggressive(seed))
 	q := inj.Wrap(kit).NewQueue(1)
-	tries := plan.FlapBurst + 1
+	tries := faulty.FlapBurst + 1
 
 	var put []int64
 	for i := int64(0); tryPutBounded(q, i, tries); i++ {
@@ -221,10 +220,9 @@ func testQueueFlapConcurrent(t *testing.T, kit sync4.Kit, seed int64) {
 //
 //sync4:req SYNC4-FAULT-006 v1 MUST Stack LIFO order survives bounded Try-operation flapping, and FlapBurst+1 retries distinguish a spurious empty from a real one.
 func testStackFlapDrain(t *testing.T, kit sync4.Kit, seed int64) {
-	plan := faulty.Aggressive(seed)
-	inj := faulty.New(plan)
+	inj := faulty.New(faulty.Aggressive(seed))
 	s := inj.Wrap(kit).NewStack()
-	tries := plan.FlapBurst + 1
+	tries := faulty.FlapBurst + 1
 
 	const n = 100
 	for i := int64(0); i < n; i++ {

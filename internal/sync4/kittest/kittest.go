@@ -126,25 +126,49 @@ func testBarrierSingle(t *testing.T, kit sync4.Kit) {
 	awaitEpisodes(t, "single-party barrier", &wg, reached)
 }
 
+// Each holder counts itself in and out of the critical section, so a
+// second holder is caught the moment it walks in, not only through a lost
+// update. Every holder yields inside the section, so the others pile up
+// in Lock and the window a broken acquire needs opens on every handoff.
+// A holder whose Unlock panics (the lock-free kit's check for a double
+// release) stops and is reported too.
+//
 //sync4:req SYNC4-LOCK-001 v1 MUST A lock provides mutual exclusion: plain read-modify-write updates to shared memory performed inside Lock/Unlock lose no updates under concurrency.
 func testLock(t *testing.T, kit sync4.Kit) {
 	const threads = 8
-	const iters = 2000
+	const iters = 5000
 	l := kit.NewLock()
 	shared := 0 // deliberately unsynchronized except by l
+	var inside, overlaps, panics atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if recover() != nil {
+					panics.Add(1)
+				}
+			}()
 			for j := 0; j < iters; j++ {
 				l.Lock()
+				if inside.Add(1) != 1 {
+					overlaps.Add(1)
+				}
 				shared++
+				runtime.Gosched()
+				inside.Add(-1)
 				l.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
+	if n := overlaps.Load(); n > 0 {
+		t.Fatalf("mutual exclusion violated: %d acquisitions found another holder inside the section", n)
+	}
+	if n := panics.Load(); n > 0 {
+		t.Fatalf("%d holders' Unlock panicked under contention", n)
+	}
 	if shared != threads*iters {
 		t.Fatalf("lost updates under lock: got %d want %d", shared, threads*iters)
 	}
