@@ -205,17 +205,20 @@ func (c *Cluster) hedgedRoundTrip(ctx context.Context, pc *peernet.PeerCall) (*p
 const bufferedBodyCap = 1 << 20
 
 // bufferResponse drains a response body into memory and rewraps it, so the
-// response survives the cancellation of its transport context. A read
-// failure mid-body (a torn connection) is reported as a transport error.
+// response survives the cancellation of its transport context. A declared
+// Content-Length sizes the buffer up front. A read failure mid-body (a
+// torn connection) is reported as a transport error.
 func bufferResponse(resp *peernet.PeerResponse, err error) (*peernet.PeerResponse, error) {
 	if err != nil || resp == nil {
 		return resp, err
 	}
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, bufferedBodyCap))
+	size, _ := strconv.Atoi(resp.Header.Get("Content-Length"))
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(size, 0), bufferedBodyCap)+bytes.MinRead))
+	_, rerr := buf.ReadFrom(io.LimitReader(resp.Body, bufferedBodyCap))
 	_ = resp.Body.Close()
 	if rerr != nil {
 		return nil, rerr
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(data))
+	resp.Body = io.NopCloser(bytes.NewReader(buf.Bytes()))
 	return resp, nil
 }

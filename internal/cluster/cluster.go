@@ -181,9 +181,11 @@ type peer struct {
 
 	// Only the ship loop touches these (see ship.go): syncedGen is the
 	// journal generation the replica's bytes belong to, tail a torn
-	// trailing line buffered between ship rounds.
+	// trailing line buffered between ship rounds, buf the journalChunk+1
+	// bytes every fetch reads its body into.
 	syncedGen uint64
 	tail      []byte
+	buf       []byte
 }
 
 // padCounter is one cache-line-isolated counter for the per-endpoint

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/cluster/peernet"
 	"repro/internal/server"
@@ -126,6 +127,10 @@ func (c *Cluster) handlePeerStolenQ(w http.ResponseWriter, r *http.Request) {
 // journalChunk caps one /peer/journal response body.
 const journalChunk = 256 << 10
 
+// journalBufs recycles the read buffers of /peer/journal responses, so a
+// follower's catch-up does not allocate one chunk per request.
+var journalBufs = sync.Pool{New: func() any { return new([journalChunk]byte) }}
+
 // journalSizeHeader carries the origin's durable journal size on every
 // /peer/journal response, so followers can compute ship lag even from an
 // empty (caught-up) read.
@@ -144,11 +149,13 @@ func (c *Cluster) handlePeerJournal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad offset")
 		return
 	}
-	// A caught-up poll (the steady state) allocates nothing; ReadJournal clamps.
+	// A caught-up poll (the steady state) takes no buffer; ReadJournal clamps.
 	store := c.srv.Store()
 	var buf []byte
 	if avail := store.DurableSize() - off; avail > 0 {
-		buf = make([]byte, min(journalChunk, avail))
+		b := journalBufs.Get().(*[journalChunk]byte)
+		defer journalBufs.Put(b)
+		buf = b[:min(journalChunk, avail)]
 	}
 	n, durable, err := store.ReadJournal(buf, off)
 	if err != nil {
@@ -158,6 +165,8 @@ func (c *Cluster) handlePeerJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(journalSizeHeader, strconv.FormatInt(durable, 10))
 	w.Header().Set(journalGenHeader, strconv.FormatUint(store.Generation(), 10))
+	// A declared length lets the follower buffer the body in one allocation.
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf[:n])
 }

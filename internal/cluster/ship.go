@@ -115,10 +115,14 @@ func (c *Cluster) fetchJournal(p *peer) (int, error) {
 		}
 		return n, err
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, journalChunk+1))
-	if err != nil {
+	if p.buf == nil {
+		p.buf = make([]byte, journalChunk+1)
+	}
+	n, err := io.ReadFull(resp.Body, p.buf)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return 0, err
 	}
+	body := p.buf[:n]
 	if len(body) == 0 {
 		return 0, nil // caught up
 	}
@@ -129,22 +133,25 @@ func (c *Cluster) fetchJournal(p *peer) (int, error) {
 
 // ingest folds shipped bytes into the replica: complete lines parse into
 // records, the trailing partial line waits in p.tail for the next chunk.
+// Only the bytes that complete that line join it, so the tail stays one
+// line long.
 func (p *peer) ingest(chunk []byte) {
-	data := chunk
-	if len(p.tail) > 0 {
-		data = append(p.tail, chunk...)
-	}
 	for {
-		i := bytes.IndexByte(data, '\n')
+		i := bytes.IndexByte(chunk, '\n')
 		if i < 0 {
 			break
 		}
-		if p.replica.AddLine(data[:i]) {
+		line := chunk[:i]
+		if len(p.tail) > 0 {
+			p.tail = append(p.tail, line...)
+			line, p.tail = p.tail, p.tail[:0]
+		}
+		if p.replica.AddLine(line) {
 			p.skipped.Add(1) // torn fragment glued to a good write; origin replay skips it too
 		}
-		data = data[i+1:]
+		chunk = chunk[i+1:]
 	}
-	p.tail = append(p.tail[:0], data...)
+	p.tail = append(p.tail, chunk...)
 }
 
 // shipLag returns how many durable bytes of the peer's journal this node

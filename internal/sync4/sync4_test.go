@@ -29,11 +29,15 @@ func TestTracedKitsConform(t *testing.T) { observedKitsConform(t, true) }
 // recording rows the tier-2 tracer soundness check. The fused row's trace
 // must also match its census exactly.
 func observedKitsConform(t *testing.T, recording bool) {
-	// One pass records about 170k events. A lane belongs to one OS thread
-	// and a pass can run on a single one, so every lane holds a whole pass;
-	// the spare lanes cover threads beyond GOMAXPROCS that run Go code.
+	// A lane belongs to one OS thread and a pass can run on a single one,
+	// so every lane holds a whole pass; the spare lanes cover threads
+	// beyond GOMAXPROCS that run Go code.
 	lanes := runtime.GOMAXPROCS(0) + 8
 	for _, base := range []sync4.Kit{classic.New(), lockfree.New()} {
+		var capacity int
+		if recording {
+			capacity = passEvents(t, base)
+		}
 		for _, row := range []struct{ instr, timed, traced bool }{
 			{instr: true},
 			{instr: true, timed: true},
@@ -50,7 +54,7 @@ func observedKitsConform(t *testing.T, recording bool) {
 				kit = sync4.Instrument(kit, &c, row.timed)
 			}
 			if row.traced {
-				rec = trace.NewRecorder(lanes, 1<<18)
+				rec = trace.NewRecorder(lanes, capacity)
 				kit = sync4.Trace(kit, rec)
 			}
 			t.Run(kit.Name(), func(t *testing.T) {
@@ -73,6 +77,19 @@ func observedKitsConform(t *testing.T, recording bool) {
 			})
 		}
 	}
+}
+
+// passEvents sizes a recorder lane for one conformance pass over base: the
+// events an instrumented pass records (its census plus one release per lock
+// acquisition), with a quarter again and 4096 to spare, because scheduling
+// changes some conformance tests' operation counts from pass to pass.
+func passEvents(t *testing.T, base sync4.Kit) int {
+	var c sync4.Counters
+	kit := sync4.Instrument(base, &c, false)
+	t.Run(kit.Name()+"#census", func(t *testing.T) { kittest.Conformance(t, kit) })
+	s := c.Snapshot()
+	n := int(s.Total() + s.LockAcquires)
+	return n + n/4 + 4096
 }
 
 // TestComposedKitConforms runs the conformance suite over a mixed kit.
