@@ -26,8 +26,9 @@ import (
 //	   flows. c's completions die in transit, a's reclaim deadline takes
 //	   the jobs home, c's breaker for a opens, and after the heal it walks
 //	   back to closed through a half-open trial. No job is lost.
-//	C. Latency storm on the journal tail: b's fetches of a's journal are
-//	   held past the hedge delay, so hedged second requests fire.
+//	C. Latency storm on the journal tail: every fetch b makes of a's
+//	   journal is held 160 ms, and b's replica of a must still reach a's
+//	   record set and ship lag 0 while the hold is installed.
 //	D. Origin crash-restart mid-tail: a is killed, its journal loses its
 //	   last record, and it restarts in place under a new journal
 //	   generation. The followers' ship loops see the generation change on
@@ -57,7 +58,6 @@ func TestRunChaosFullSchedule(t *testing.T) {
 		ccfg.Transport = faults[id]
 		ccfg.BreakerCooldown = 250 * time.Millisecond
 		ccfg.RetryBaseDelay = 5 * time.Millisecond
-		ccfg.HedgeAfter = 40 * time.Millisecond
 		switch id {
 		case "a":
 			// The designated victim: the backlog behind its one gated worker
@@ -158,9 +158,17 @@ func TestRunChaosFullSchedule(t *testing.T) {
 	}
 
 	// ---- Phase C: latency storm on the journal tail. ----------------------
+	// The two jobs land on a after the hold is installed, so b can only
+	// replicate them through held fetches.
 	faults["b"].SetLatency("a", 160*time.Millisecond, peernet.EndpointJournal)
 	allDone("phase C", a, submitAll(a, true, "lockfree", 200, 201))
-	waitFor(t, "phase C: b never hedged a slow journal fetch", func() bool { return b.cl.hedgedTotal.v.Load() > 0 })
+	pa := b.cl.peers["a"]
+	waitFor(t, "phase C: b's replica of a never caught up through the held journal fetches", func() bool {
+		return pa.replica.Len() == len(a.srv.Store().All()) && pa.shipLag() == 0
+	})
+	if held := faults["b"].Report().Injected[netfaulty.FaultLatency]; held == 0 {
+		t.Fatal("phase C: no journal fetch of b's was held")
+	}
 	faults["b"].Heal("a")
 
 	// ---- Phase D: origin crash-restart mid-tail. --------------------------
@@ -205,7 +213,6 @@ func TestRunChaosFullSchedule(t *testing.T) {
 		"splash4d_journal_resyncs_total",
 		"splash4d_repair_bytes_total",
 		"splash4d_partition_heals_total",
-		"splash4d_hedged_requests_total",
 	} {
 		if !strings.Contains(scrape, series) {
 			t.Errorf("series %s missing from c's /metrics", series)

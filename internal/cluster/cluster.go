@@ -84,10 +84,6 @@ type Config struct {
 	// RetryBaseDelay is the first backoff step; later steps double, with
 	// deterministic jitter. Default 25ms.
 	RetryBaseDelay time.Duration
-	// HedgeAfter is how long an idempotent read may go unanswered before a
-	// second identical request races it. Default 500ms; negative disables
-	// hedging.
-	HedgeAfter time.Duration
 	// Logf, when set, receives cluster lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -134,9 +130,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 500 * time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -221,10 +214,9 @@ type Cluster struct {
 	_              [56]byte
 
 	// Robustness counters: retries per endpoint (peernet.Endpoints
-	// order), hedged second requests, replica resyncs and the bytes of
-	// their first refetches, and partition heals observed by the prober.
+	// order), replica resyncs and the bytes of their first refetches, and
+	// partition heals observed by the prober.
 	retries        []padCounter // one slot per peernet.Endpoints entry
-	hedgedTotal    padCounter
 	repairBytes    padCounter
 	resyncs        padCounter
 	partitionHeals padCounter

@@ -50,7 +50,6 @@ func (c *Cluster) writeMetrics(w io.Writer) {
 	counter("splash4d_journal_ship_rounds_total", "Successful journal fetches across all peers.", c.shipRounds.Load())
 	counter("splash4d_journal_ship_errors_total", "Journal fetches that failed.", c.shipErrors.Load())
 	counter("splash4d_journal_ship_skipped_total", "Shipped journal lines skipped as malformed.", c.skippedTotal())
-	counter("splash4d_hedged_requests_total", "Idempotent peer reads hedged with a second request after the hedge delay.", c.hedgedTotal.v.Load())
 	counter("splash4d_repair_bytes_total", "Journal bytes pulled by generation-change resyncs.", c.repairBytes.v.Load())
 	counter("splash4d_journal_resyncs_total", "Replica resyncs forced by an origin journal generation change.", c.resyncs.v.Load())
 	counter("splash4d_partition_heals_total", "Peers observed returning after a down period (down-to-up after first contact).", c.partitionHeals.v.Load())

@@ -11,7 +11,7 @@
 //
 //   - latency: SetLatency holds every exchange to a peer (or to some of
 //     its endpoints) before it reaches the wire, widening probe gaps and
-//     triggering hedged requests;
+//     slowing journal tails;
 //   - partition: Partition(b) on node A's transport refuses every
 //     exchange A→B while B's transport is untouched — the asymmetric
 //     "A sees B down, B sees A up" split.

@@ -165,7 +165,7 @@ func (c *Cluster) handlePeerJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(journalSizeHeader, strconv.FormatInt(durable, 10))
 	w.Header().Set(journalGenHeader, strconv.FormatUint(store.Generation(), 10))
-	// A declared length lets the follower buffer the body in one allocation.
+	// A declared length sends the body without chunked framing.
 	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf[:n])
@@ -213,8 +213,8 @@ func (c *Cluster) probeLoop(p *peer) {
 }
 
 // fetchHealth performs one health probe round trip through the transport
-// stack (hedged and budget-retried, never breaker-gated: the probe is the
-// liveness oracle everything else keys off).
+// stack (budget-retried, never breaker-gated: the probe is the liveness
+// oracle everything else keys off).
 func (c *Cluster) fetchHealth(p *peer) (healthView, error) {
 	var hv healthView
 	resp, err := c.call(c.ctx, p, peernet.EndpointHealth, http.MethodGet, "/peer/health", nil, nil)

@@ -40,8 +40,8 @@ var Endpoints = []string{
 
 // PeerCall is one outbound peer exchange. Peer is the target's node ID —
 // decorators key decisions on it rather than the URL, which embeds
-// ephemeral test ports. Body is a byte slice, not a reader, so a retry or
-// hedge can replay the call without coordination.
+// ephemeral test ports. Body is a byte slice, not a reader, so a retry can
+// replay the call without coordination.
 type PeerCall struct {
 	Peer     string
 	Endpoint string

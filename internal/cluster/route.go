@@ -139,9 +139,9 @@ func ownerFromJobID(id string) string {
 // circuit breaker failing the hop without a network attempt — in which
 // case the caller serves locally; once relaying has begun, failures
 // terminate the response as-is. The hop rides the transport stack as a
-// single breaker-gated attempt: never retried (the local fallback is
-// faster and always available) and never hedged (the body may be a
-// long-lived SSE stream, which must not be buffered).
+// single breaker-gated attempt, never retried: the local fallback is
+// faster and always available, and the body may be a long-lived SSE
+// stream.
 func (c *Cluster) forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) bool {
 	p := c.peers[owner]
 	if p == nil {

@@ -74,8 +74,11 @@ func (p *peer) wakeShip() {
 }
 
 // fetchJournal performs one tail round: fetch a chunk at the replica's
-// offset, fold complete lines in, advance. It returns the byte count
-// ingested. Only the peer's ship loop calls it.
+// offset, read the body straight into p.buf, fold complete lines in,
+// advance. It returns the byte count ingested. A body that ends early
+// (io.ErrUnexpectedEOF) still delivers a prefix of the journal, so its
+// bytes are ingested; any other read error ingests nothing. Only the
+// peer's ship loop calls it.
 func (c *Cluster) fetchJournal(p *peer) (int, error) {
 	off := p.offset.Load()
 	resp, err := c.call(c.ctx, p, peernet.EndpointJournal, http.MethodGet,
@@ -99,10 +102,11 @@ func (c *Cluster) fetchJournal(p *peer) (int, error) {
 		p.syncedGen = gen
 	case gen != p.syncedGen:
 		// The origin reopened its journal since the replica was built,
-		// and off may point into the middle of different bytes: leave
+		// and off may point into the middle of different bytes: close
 		// this body unread, drop everything the old generation left, and
 		// drain the new one from zero. The refetch, at offset zero, adopts
 		// whatever generation serves it, so it never resyncs in turn.
+		_ = resp.Body.Close()
 		p.replica.Reset()
 		p.tail = p.tail[:0]
 		p.skipped.Store(0)

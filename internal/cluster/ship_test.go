@@ -110,9 +110,9 @@ func shippingCluster(t *testing.T) *Cluster {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	// Retries and hedging off: the test asserts exactly one journal fetch
-	// per ship round.
-	cfg := Config{Self: "follower", Logf: t.Logf, RetryMax: -1, HedgeAfter: -1}
+	// Retries off: the test asserts exactly one journal fetch per ship
+	// round.
+	cfg := Config{Self: "follower", Logf: t.Logf, RetryMax: -1}
 	return &Cluster{
 		cfg:       cfg,
 		transport: peernet.NewHTTPTransport(5 * time.Second),
@@ -295,8 +295,8 @@ func TestShipResumesOnHealWithoutRepairPass(t *testing.T) {
 
 // shipOnly builds a real Cluster around an idle server with one peer,
 // "origin", already up, whose journal endpoint is h. No loop runs until the
-// test starts the peer's ship loop with shipLoopOf. Retries and hedging are
-// off so one fetch is one request.
+// test starts the peer's ship loop with shipLoopOf. Retries are off so one
+// fetch is one request.
 func shipOnly(t *testing.T, tick time.Duration, h http.Handler) (*Cluster, *peer) {
 	t.Helper()
 	ts := httptest.NewServer(h)
@@ -314,7 +314,7 @@ func shipOnly(t *testing.T, tick time.Duration, h http.Handler) (*Cluster, *peer
 		store.Close()
 	})
 	c, err := New(Config{Self: "follower", Peers: map[string]string{"origin": ts.URL}, Server: srv,
-		ShipInterval: tick, RetryMax: -1, HedgeAfter: -1, Logf: t.Logf})
+		ShipInterval: tick, RetryMax: -1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,17 +335,20 @@ func shipLoopOf(c *Cluster, p *peer) {
 // while the origin advertises lag. Timer fires cannot outnumber
 // elapsed/tick, so neither may journal requests nor counted errors (an
 // open breaker refuses locally, which a hot loop would show only in the
-// latter).
+// latter). A failed fetch is counted as a ship error and moves nothing.
 //
 //sync4:covers SYNC4-CLUS-006
 func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
 	const tick = 20 * time.Millisecond
+	line := journalLine(t, "r-origin-1", 1)
 	cases := []struct {
 		name   string
+		fails  bool
 		answer func(w http.ResponseWriter)
 	}{
-		{"status 500", func(w http.ResponseWriter) { w.WriteHeader(http.StatusInternalServerError) }},
-		{"empty body", func(w http.ResponseWriter) { w.Header().Set(journalSizeHeader, "1000000") }},
+		{"status 500", true, func(w http.ResponseWriter) { w.WriteHeader(http.StatusInternalServerError) }},
+		{"empty body", false, func(w http.ResponseWriter) { w.Header().Set(journalSizeHeader, "1000000") }},
+		{"body fails mid-read", true, func(w http.ResponseWriter) { tearJournal(w, line, len(line)/2, false) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -363,8 +366,11 @@ func TestShipFailingPeerIsPolledOncePerTick(t *testing.T) {
 			if got > ticks+1 || errs > ticks+1 {
 				t.Fatalf("%d journal requests and %d ship errors in %d ticks: the loop is not waiting for the timer", got, errs, ticks)
 			}
-			if n := p.replica.Len(); n != 0 {
-				t.Fatalf("replica ingested %d records from a failing origin", n)
+			if tc.fails && errs == 0 {
+				t.Fatal("no ship error counted for failing fetches")
+			}
+			if n, off := p.replica.Len(), p.offset.Load(); n != 0 || off != 0 {
+				t.Fatalf("replica ingested %d records and moved to offset %d from a failing origin", n, off)
 			}
 		})
 	}
@@ -560,5 +566,57 @@ func TestPeerJournalSizesItsBufferToTheBytesOnOffer(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / polls; per >= 4<<10 {
 		t.Fatalf("a caught-up poll allocates %d bytes, want under 4 KiB", per)
+	}
+}
+
+// tearJournal answers a /peer/journal request with a 200 that advertises
+// lag and fails after the first cut bytes of body. With eof the connection
+// closes short of the declared Content-Length, which the follower reads as
+// io.ErrUnexpectedEOF; otherwise a well-formed chunk of a chunked body is
+// followed by a malformed one, any other read error.
+func tearJournal(w http.ResponseWriter, body []byte, cut int, eof bool) {
+	conn, buf, err := w.(http.Hijacker).Hijack()
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	if eof {
+		fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n%s: 1000000\r\n\r\n%s",
+			len(body), journalSizeHeader, body[:cut])
+	} else {
+		fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n%s: 1000000\r\n\r\n%x\r\n%s\r\nzz\r\n",
+			journalSizeHeader, cut, body[:cut])
+	}
+	buf.Flush()
+}
+
+// TestShipTornBody: a /peer/journal body that fails mid-stream fails after
+// call has returned, so only fetchJournal sees it. A body cut short still
+// delivered a prefix of the journal: its bytes are ingested, the torn line
+// waits in the tail, and the offset advances by exactly them. Any other
+// read error ingests nothing and leaves the offset where it was (the ship
+// loop's side is TestShipFailingPeerIsPolledOncePerTick's torn-body case).
+func TestShipTornBody(t *testing.T) {
+	first, second := journalLine(t, "r-origin-1", 1), journalLine(t, "r-origin-2", 2)
+	body := append(append([]byte(nil), first...), second...)
+	cut := len(first) + len(second)/2
+	for _, eof := range []bool{true, false} {
+		c, p := shipOnly(t, time.Hour, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			tearJournal(w, body, cut, eof)
+		}))
+		n, err := c.fetchJournal(p)
+		want, records, tail := cut, 1, cut-len(first)
+		if !eof {
+			want, records, tail = 0, 0, 0
+			if err == nil {
+				t.Fatal("a body with a malformed chunk fetched without error")
+			}
+		} else if err != nil {
+			t.Fatalf("a body cut at %d: %v", cut, err)
+		}
+		if n != want || p.offset.Load() != int64(want) || p.replica.Len() != records || len(p.tail) != tail {
+			t.Fatalf("eof=%v: fetched %d bytes to offset %d, %d records, a %d-byte tail; want %d, %d, %d, %d",
+				eof, n, p.offset.Load(), p.replica.Len(), len(p.tail), want, want, records, tail)
+		}
 	}
 }
