@@ -7,7 +7,7 @@
 #                     fault injection, retry contract, tracer), allocs gate
 #   make race         tier-2 gate: the whole suite under the Go race detector,
 #                     then the scheduling-dependent tests again: event order
-#                     x20, the ship loop's drain/heal/pacing/stop/resync
+#                     and frozen-job replay x20, the ship loop's drain/heal/pacing/stop/resync
 #                     tests x10, and the result digests of barnes, lu,
 #                     lu-contiguous, cholesky, ocean and ocean-contiguous x5
 #   make fuzz         30 s of FuzzAddLine: AddLine's fast journal-line decoder
@@ -54,6 +54,8 @@ allocs-gate:
 # The event-order test's window is scheduling-dependent (a submitter losing
 # the CPU between publishing a job and announcing it), so one pass proves
 # little: race repeats it 20 times on top of the suite's single run. The
+# frozen-job replay test gets the same 20: a read can land between a job's
+# terminal event and its freeze, and must be served the same bytes. The
 # ship loop's drain, stop and resync tests race a wake, a cancel and a
 # journal generation change against fetches in flight, so they get 10 more
 # passes for the same reason.
@@ -67,7 +69,7 @@ allocs-gate:
 # passes.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs' ./internal/server/
+	$(GO) test -race -count=20 -run 'TestEventStreamOrderUnderInstantJobs|TestFrozenJobReadsBackAsServed' ./internal/server/
 	$(GO) test -race -count=10 -run 'TestShip(Drains|ResumesOnHeal|FailingPeer|StopsMidDrain|Resyncs)' ./internal/cluster/
 	$(GO) test -race -count=5 -run 'TestResultDigests/runs/(barnes|lu|lu-contiguous|cholesky|ocean|ocean-contiguous)$$' ./internal/workloads/all/
 

@@ -132,7 +132,7 @@ func (s *Server) jobView(j *Job, deduped bool) map[string]any {
 	}
 	// The lifecycle span chain closed so far: complete (admission through
 	// publish) once the job is terminal, a prefix while it runs.
-	if spans := j.spans.Spans(); len(spans) > 0 {
+	if spans := j.chain(); len(spans) > 0 {
 		v["spans"] = spans
 		v["span_sum_ns"] = spanSum(spans)
 	}
@@ -148,12 +148,12 @@ func (s *Server) jobView(j *Job, deduped bool) map[string]any {
 	if j.stall != "" {
 		v["stall"] = j.stall
 	}
-	if j.record != nil && j.State() == StateDone {
+	if j.State() == StateDone {
 		v["result"] = map[string]any{
-			"mean_ns":      j.record.MeanNS,
-			"times_ns":     j.record.TimesNS,
-			"trace_events": j.record.TraceEvents,
-			"sync_ops":     j.record.SyncOps,
+			"mean_ns":      j.result.MeanNS,
+			"times_ns":     j.result.TimesNS,
+			"trace_events": j.result.TraceEvents,
+			"sync_ops":     j.result.SyncOps,
 		}
 	}
 	return v
@@ -192,10 +192,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// max-reps job arriving while this subscriber is between reads.
 	replay, ch, cancel := job.subscribe(maxReps + 8)
 	defer cancel()
-	for _, ev := range replay {
-		if err := writeSSE(w, ev); err != nil {
-			return
-		}
+	if _, err := w.Write(replay); err != nil {
+		return
 	}
 	fl.Flush()
 	if ch == nil {
@@ -207,14 +205,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.stop:
 			return
-		case ev := <-ch:
-			if err := writeSSE(w, ev); err != nil {
+		case frame, ok := <-ch:
+			if !ok {
+				return // the terminal event was the last frame
+			}
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
 			fl.Flush()
-			if ev.terminal() {
-				return
-			}
 		}
 	}
 }

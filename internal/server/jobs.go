@@ -101,7 +101,8 @@ func recordSummary(rec resultstore.Record) map[string]any {
 	return v
 }
 
-// jobSummary renders one live job as a /jobs entry.
+// jobSummary renders one job of the jobs map as a /jobs entry, from its
+// scalar fields alone, which a frozen job keeps.
 func jobSummary(j *Job, nodeID string) map[string]any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -124,8 +125,8 @@ func jobSummary(j *Job, nodeID string) map[string]any {
 	if j.errMsg != "" {
 		v["error"] = j.errMsg
 	}
-	if j.record != nil && j.State() == StateDone {
-		v["mean_ns"] = j.record.MeanNS
+	if j.State() == StateDone {
+		v["mean_ns"] = j.result.MeanNS
 	}
 	return v
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +81,8 @@ func (st State) String() string {
 }
 
 // Event is one SSE progress event. Seq orders events within a job; Data is
-// event-specific payload.
+// event-specific payload. An event lives only as long as it takes emit to
+// render its frame: the job keeps the frame, not the Event.
 type Event struct {
 	Seq  int            `json:"seq"`
 	Type string         `json:"type"`
@@ -91,6 +94,12 @@ func (ev Event) terminal() bool { return ev.Type == "done" || ev.Type == "error"
 
 // Job is one accepted measurement. Jobs are shared by pointer only: the
 // struct embeds atomic state.
+//
+// A job that has published its terminal event is frozen (freeze): from
+// then on it holds its event stream as rendered bytes, its span chain and
+// result as pointer-free values, and its scalar fields; no map, channel or
+// span set. The jobs a daemon has served then cost the collector little to
+// mark.
 type Job struct {
 	ID        string
 	Seq       int64
@@ -102,8 +111,10 @@ type Job struct {
 	RequestID string
 	// spans is the job's lifecycle chain (admission → … → publish),
 	// boundary-marked along the pipeline. Nil-safe: jobs built without a
-	// chain simply record nothing.
-	spans *telemetry.SpanSet
+	// chain simply record nothing. Nil once frozen, when finalSpans holds
+	// the complete chain.
+	spans      *telemetry.SpanSet
+	finalSpans []telemetry.Span
 
 	state atomic.Int32
 
@@ -113,61 +124,99 @@ type Job struct {
 	errMsg   string
 	stall    string // watchdog diagnosis summary, when a repetition stalled
 	ranOn    string // executing node, when a peer stole the job
-	record   *resultstore.Record
-	events   []Event
-	subs     []chan Event
+	result   jobResult
+	// sse is the job's event stream as served: every emitted event's SSE
+	// frame, in seq order. It only grows, so a prefix handed to a
+	// subscriber never changes under it.
+	sse     []byte
+	nEvents int
+	ended   bool // a terminal event is in sse
+	subs    []chan []byte
+}
+
+// jobResult is what a job's repetitions measured, set once they all
+// returned: the journal record, the job view and /jobs read it.
+type jobResult struct {
+	TimesNS     []int64
+	MeanNS      int64
+	TraceEvents int64
+	SyncOps     int64
+}
+
+// chain returns the job's span chain: the part closed so far while it is
+// live, the complete one once it is frozen. Caller holds j.mu.
+func (j *Job) chain() []telemetry.Span {
+	if j.spans == nil {
+		return j.finalSpans
+	}
+	return j.spans.Spans()
 }
 
 // State returns the job's current lifecycle state.
 func (j *Job) State() State { return State(j.state.Load()) }
 
-// emit appends a progress event and fans it out to subscribers. Event
-// volume per job is bounded (one per repetition plus a constant), so the
-// subscriber channels — sized for that bound — never fill; the non-blocking
-// send is belt and braces against a misbehaving consumer.
+// emit renders a progress event's frame onto the job's stream and fans it
+// out to subscribers; a terminal event also closes their channels, which
+// ends their streams. Event volume per job is bounded (one per repetition
+// plus a constant), so the subscriber channels — sized for that bound —
+// never fill; the non-blocking send is belt and braces against a
+// misbehaving consumer.
 func (j *Job) emit(typ string, data map[string]any) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ev := Event{Seq: len(j.events), Type: typ, Data: data}
-	j.events = append(j.events, ev)
+	ev := Event{Seq: j.nEvents, Type: typ, Data: data}
+	start := len(j.sse)
+	sse, err := appendSSE(j.sse, ev)
+	if err != nil {
+		// Every payload is built in this package from strings, integers
+		// and integer slices, which always marshal.
+		panic(fmt.Sprintf("server: rendering %s event of %s: %v", typ, j.ID, err))
+	}
+	j.sse = sse
+	j.nEvents++
+	frame := sse[start:len(sse):len(sse)]
 	for _, ch := range j.subs {
 		select {
-		case ch <- ev:
+		case ch <- frame:
 		default:
 		}
 	}
+	if ev.terminal() {
+		j.ended = true
+		for _, ch := range j.subs {
+			close(ch)
+		}
+		j.subs = nil
+	}
 }
 
-// subscribe returns the events emitted so far and, unless the terminal
-// event is among them, a channel delivering subsequent ones. The replay
-// itself decides, not the job's state: finishJob stores the terminal state
-// before it emits the terminal event, and emit appends under the same j.mu
-// held here, so a subscriber arriving in between still gets a channel and
-// the event. A terminal event anywhere in the replay ends the stream, not
-// only in last place: nothing will ever follow it on a channel, so a
-// subscriber handed one would wait forever. cancel must be called when the
-// consumer leaves.
+// subscribe returns the job's stream so far and, unless a terminal event is
+// already in it, a channel delivering each later event's frame, closed after
+// the terminal one. The stream itself decides, not the job's state:
+// finishJob stores the terminal state before it emits the terminal event,
+// and emit appends under the same j.mu held here, so a subscriber arriving
+// in between still gets a channel and the event. A terminal event anywhere
+// in the stream ends it, not only in last place: nothing will ever follow it
+// on a channel, so a subscriber handed one would wait forever. cancel must
+// be called when the consumer leaves.
 //
 //sync4:req SYNC4-SERVE-012 v1 MUST A job's event stream is ordered and finite: every event that announces a hand-over (queued, stolen, reclaimed) is emitted before the job becomes visible to whoever acts on it next, so queued is always seq 0 and exactly one terminal event comes last; and a subscriber whose replay already holds a terminal event, at any position, gets no live channel and its stream closes.
-func (j *Job) subscribe(chanCap int) (replay []Event, ch chan Event, cancel func()) {
+func (j *Job) subscribe(chanCap int) (replay []byte, ch chan []byte, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	replay = append(replay, j.events...)
-	for _, ev := range replay {
-		if ev.terminal() {
-			return replay, nil, func() {}
-		}
+	replay = j.sse[:len(j.sse):len(j.sse)]
+	if j.ended {
+		return replay, nil, func() {}
 	}
-	ch = make(chan Event, chanCap)
+	ch = make(chan []byte, chanCap)
 	j.subs = append(j.subs, ch)
 	return replay, ch, func() {
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		for i, c := range j.subs {
-			if c == ch {
-				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				break
-			}
+		if i := slices.Index(j.subs, ch); i >= 0 {
+			// slices.Delete zeroes the vacated tail slot, so a departed
+			// subscriber's channel does not stay reachable from it.
+			j.subs = slices.Delete(j.subs, i, i+1)
 		}
 	}
 }
@@ -404,10 +453,7 @@ func (s *Server) measure(j *Job) error {
 		return err
 	}
 	j.mu.Lock()
-	j.record = &resultstore.Record{
-		ID: j.ID, Workload: sp.Workload, Kit: sp.Kit, Threads: sp.Threads,
-		Scale: sp.Scale, Seed: sp.Seed, Reps: sp.Reps, Node: s.cfg.NodeID,
-		Submitted: j.Submitted, Started: j.started,
+	j.result = jobResult{
 		TimesNS: durationsNS(out.Sample.Durations()), MeanNS: out.Sample.Mean().Nanoseconds(),
 		TraceEvents: out.TraceEvents, SyncOps: out.SyncOps,
 	}
@@ -466,23 +512,19 @@ func (s *Server) finishJob(j *Job, st State, cause error) {
 	now := time.Now()
 	j.mu.Lock()
 	j.finished = now
-	rec := j.record
-	if rec == nil {
-		rec = &resultstore.Record{
-			ID: j.ID, Workload: j.Spec.Workload, Kit: j.Spec.Kit,
-			Threads: j.Spec.Threads, Scale: j.Spec.Scale, Seed: j.Spec.Seed,
-			Reps: j.Spec.Reps, Node: s.cfg.NodeID,
-			Submitted: j.Submitted, Started: j.started,
-		}
-		j.record = rec
-	}
-	rec.Finished = now
-	rec.RequestID = j.RequestID
 	// The journaled record carries the chain as known before the append:
 	// admission through the last repetition. The journal and publish
 	// spans close after the append by necessity; the job view and the
 	// access log carry the complete chain.
-	rec.Spans = j.spans.Spans()
+	rec := resultstore.Record{
+		ID: j.ID, Workload: j.Spec.Workload, Kit: j.Spec.Kit,
+		Threads: j.Spec.Threads, Scale: j.Spec.Scale, Seed: j.Spec.Seed,
+		Reps: j.Spec.Reps, Node: s.cfg.NodeID,
+		Submitted: j.Submitted, Started: j.started, Finished: now,
+		TimesNS: j.result.TimesNS, MeanNS: j.result.MeanNS,
+		TraceEvents: j.result.TraceEvents, SyncOps: j.result.SyncOps,
+		RequestID: j.RequestID, Spans: j.spans.Spans(),
+	}
 	if cause != nil {
 		st = StateFailed
 		j.errMsg = cause.Error()
@@ -493,7 +535,7 @@ func (s *Server) finishJob(j *Job, st State, cause error) {
 	}
 	j.mu.Unlock()
 
-	err := s.appendWithRetry(*rec)
+	err := s.appendWithRetry(rec)
 	j.spans.Mark(telemetry.PhaseJournal, 0)
 	if err != nil && cause == nil {
 		// The measurement succeeded but persisting it did not, even after
@@ -520,13 +562,28 @@ func (s *Server) finishJob(j *Job, st State, cause error) {
 		j.emit("error", map[string]any{"error": j.Error(), "request_id": j.RequestID})
 	}
 	j.spans.Mark(telemetry.PhasePublish, 0)
-	s.publishTelemetry(j, st, now)
+	spans := j.spans.Spans()
+	s.publishTelemetry(j, st, now, spans)
+	j.freeze(spans)
+}
+
+// freeze keeps of a terminal job only what its reads still need: the event
+// stream, trimmed to its length, and the complete span chain as a plain
+// slice in place of the span set. emit dropped the subscribers with the
+// terminal event. GET /runs/{id} renders from these fields on every read,
+// as it does while the job is live, so it reads back unchanged.
+//
+//sync4:req SYNC4-SERVE-013 v1 MUST A terminal job keeps its event stream as rendered bytes and its span chain and result without pointers into live state, and GET /runs/{id}/events and GET /runs/{id} read back byte for byte as the job served them while it was live, a deduped twin's view included.
+func (j *Job) freeze(spans []telemetry.Span) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.sse = bytes.Clone(j.sse)
+	j.finalSpans, j.spans = spans, nil
 }
 
 // publishTelemetry folds a terminal job's span chain into the per-phase
 // histograms and appends the job's access-log line.
-func (s *Server) publishTelemetry(j *Job, st State, finished time.Time) {
-	spans := j.spans.Spans()
+func (s *Server) publishTelemetry(j *Job, st State, finished time.Time, spans []telemetry.Span) {
 	if spans == nil {
 		return
 	}

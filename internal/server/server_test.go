@@ -22,6 +22,7 @@ import (
 type gatedBench struct {
 	name string
 	gate chan struct{}
+	err  error // what every repetition returns once the gate lets it through
 }
 
 func (g *gatedBench) Name() string        { return g.name }
@@ -36,7 +37,7 @@ func (i *gatedInstance) Run() error {
 	if i.g.gate != nil {
 		<-i.g.gate
 	}
-	return nil
+	return i.g.err
 }
 func (i *gatedInstance) Verify() error { return nil }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -58,15 +59,15 @@ func sseCorpus() []Event {
 	}
 }
 
-// TestSSEEncoderMatchesJSON checks writeSSE's frame for every corpus event:
+// TestSSEEncoderMatchesJSON checks appendSSE's frame for every corpus event:
 // id, event name and one data line holding exactly json.Marshal(ev).
 func TestSSEEncoderMatchesJSON(t *testing.T) {
 	for _, ev := range sseCorpus() {
-		var sb strings.Builder
-		if err := writeSSE(&sb, ev); err != nil {
+		b, err := appendSSE(nil, ev)
+		if err != nil {
 			t.Fatalf("event %d: %v", ev.Seq, err)
 		}
-		frame := sb.String()
+		frame := string(b)
 		want, err := json.Marshal(ev)
 		if err != nil {
 			t.Fatalf("json.Marshal(%+v): %v", ev, err)
@@ -80,6 +81,25 @@ func TestSSEEncoderMatchesJSON(t *testing.T) {
 			t.Errorf("event %d payload:\n got: %s\nwant: %s", ev.Seq, payload, want)
 		}
 	}
+}
+
+// streamEvents decodes an SSE byte stream (a replay, or frames read off a
+// subscriber channel) back into its events.
+func streamEvents(t *testing.T, b []byte) []Event {
+	t.Helper()
+	var evs []Event
+	for _, line := range strings.Split(string(b), "\n") {
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("event %q: %v", data, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
 }
 
 // TestSubscribeBetweenTerminalStateAndEvent subscribes in the window where
@@ -100,28 +120,28 @@ func TestSubscribeBetweenTerminalStateAndEvent(t *testing.T) {
 	j.emit("done", nil) // ... terminal event second
 
 	var terminal int
-	for _, ev := range replay {
+	for _, ev := range streamEvents(t, replay) {
 		if ev.terminal() {
 			terminal++
 		}
 	}
 	select {
-	case ev := <-ch:
-		if ev.Type != "done" {
-			t.Fatalf("live event %q, want done", ev.Type)
+	case frame := <-ch:
+		if evs := streamEvents(t, frame); len(evs) != 1 || evs[0].Type != "done" {
+			t.Fatalf("live frame %q, want the done event", frame)
 		}
 		terminal++
 	default:
 		t.Fatal("terminal event never reached the subscriber's channel")
 	}
-	if terminal != 1 || len(ch) != 0 {
-		t.Fatalf("subscriber saw %d terminal events (+%d queued), want exactly 1", terminal, len(ch))
+	if _, open := <-ch; open || terminal != 1 {
+		t.Fatalf("subscriber saw %d terminal events, channel still open: %v; want exactly 1 and a closed channel", terminal, open)
 	}
 
 	late, lateCh, lateCancel := j.subscribe(4)
 	defer lateCancel()
-	if lateCh != nil || len(late) != 3 || late[2].Type != "done" {
-		t.Fatalf("late subscriber: channel %v, replay %+v; want nil channel and the full replay", lateCh, late)
+	if evs := streamEvents(t, late); lateCh != nil || len(evs) != 3 || evs[2].Type != "done" {
+		t.Fatalf("late subscriber: channel %v, replay %+v; want nil channel and the full replay", lateCh, evs)
 	}
 }
 
@@ -142,8 +162,31 @@ func TestSubscribeAfterMisorderedTerminalEvent(t *testing.T) {
 	if ch != nil {
 		t.Fatal("replay holds the terminal event, yet the subscriber got a live channel: its stream never ends")
 	}
-	if len(replay) != 4 {
-		t.Fatalf("replay = %+v, want all 4 events", replay)
+	if evs := streamEvents(t, replay); len(evs) != 4 {
+		t.Fatalf("replay = %+v, want all 4 events", evs)
+	}
+}
+
+// TestCancelLeavesNoChannelReachable: a subscriber that leaves before the
+// job ends must not stay reachable from the job's subscriber slice, in its
+// live part or in the backing array's tail, or every departed subscriber's
+// buffered channel lives as long as the job.
+func TestCancelLeavesNoChannelReachable(t *testing.T) {
+	j := &Job{ID: "r-000001"}
+	j.emit("queued", nil)
+	_, a, cancelA := j.subscribe(4)
+	_, b, cancelB := j.subscribe(4)
+	for _, c := range []struct {
+		ch     chan []byte
+		cancel func()
+	}{{a, cancelA}, {b, cancelB}} {
+		c.cancel()
+		j.mu.Lock()
+		slots := j.subs[:cap(j.subs)]
+		j.mu.Unlock()
+		if slices.Contains(slots, c.ch) {
+			t.Fatalf("canceled channel still in the subscriber slots %v", slots)
+		}
 	}
 }
 

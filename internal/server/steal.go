@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/resultstore"
 	"repro/internal/telemetry"
 )
 
@@ -122,10 +121,7 @@ func (s *Server) CompleteStolen(id string, res RemoteResult) error {
 	}
 	sp := j.Spec
 	j.mu.Lock()
-	j.record = &resultstore.Record{
-		ID: j.ID, Workload: sp.Workload, Kit: sp.Kit, Threads: sp.Threads,
-		Scale: sp.Scale, Seed: sp.Seed, Reps: sp.Reps, Node: s.cfg.NodeID,
-		Submitted: j.Submitted, Started: j.started,
+	j.result = jobResult{
 		TimesNS: res.TimesNS, MeanNS: res.MeanNS,
 		TraceEvents: res.TraceEvents, SyncOps: res.SyncOps,
 	}
